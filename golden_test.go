@@ -18,13 +18,16 @@ const goldenPath = "testdata/golden_zero_fault.json"
 
 // goldenRuns is the reference grid: one memory-bound app under the
 // baseline and the CABA design, at the same scale/seed the equivalence
-// tests use.
+// tests use, plus bh under CABA-BDI, whose full AWT queues millions of
+// decompression and compression trigger retries (PVC queues few
+// decompression retries and no compression retries).
 var goldenRuns = []struct {
 	App    string
 	Design caba.Design
 }{
 	{"PVC", caba.Base},
 	{"PVC", caba.CABABDI},
+	{"bh", caba.CABABDI},
 }
 
 func goldenConfig() caba.Config {
