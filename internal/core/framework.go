@@ -36,14 +36,17 @@ type Routine struct {
 // subroutine code before the application runs, indexed by SR.ID (and
 // walked by Inst.ID as the AWC deploys instructions).
 type Store struct {
-	routines map[RoutineID]*Routine
+	// routines is indexed by RoutineID: the IDs are dense and small, and
+	// a slice lookup keeps per-trigger routine fetches off Go's map hash.
+	routines []*Routine
+	n        int
 	// TotalInstrs approximates the AWS's storage requirement.
 	TotalInstrs int
 }
 
 // NewStore returns an empty AWS.
 func NewStore() *Store {
-	return &Store{routines: make(map[RoutineID]*Routine)}
+	return &Store{}
 }
 
 // Preload installs a routine; duplicate IDs are an error.
@@ -51,23 +54,31 @@ func (s *Store) Preload(r *Routine) error {
 	if r.Prog == nil || len(r.Prog.Code) == 0 {
 		return fmt.Errorf("core: routine %q has no code", r.Name)
 	}
-	if _, dup := s.routines[r.ID]; dup {
+	if _, dup := s.Get(r.ID); dup {
 		return fmt.Errorf("core: duplicate routine id %d (%q)", r.ID, r.Name)
 	}
+	for int(r.ID) >= len(s.routines) {
+		s.routines = append(s.routines, nil)
+	}
 	s.routines[r.ID] = r
+	s.n++
 	s.TotalInstrs += len(r.Prog.Code)
 	return nil
 }
 
 // Get looks up a routine by ID.
 func (s *Store) Get(id RoutineID) (*Routine, bool) {
-	r, ok := s.routines[id]
-	return r, ok
+	if int(id) < len(s.routines) {
+		if r := s.routines[id]; r != nil {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
 // MustGet looks up a routine that is known to be preloaded.
 func (s *Store) MustGet(id RoutineID) *Routine {
-	r, ok := s.routines[id]
+	r, ok := s.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("core: routine %d not preloaded", id))
 	}
@@ -75,7 +86,7 @@ func (s *Store) MustGet(id RoutineID) *Routine {
 }
 
 // Len returns the number of preloaded routines.
-func (s *Store) Len() int { return len(s.routines) }
+func (s *Store) Len() int { return s.n }
 
 // Entry is one Assist Warp Table (AWT) entry: a triggered assist warp
 // coupled to its parent warp, tracking the next instruction to deploy

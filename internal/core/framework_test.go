@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"github.com/caba-sim/caba/internal/compress"
 	"github.com/caba-sim/caba/internal/isa"
 )
 
@@ -36,6 +37,85 @@ func TestStorePreloadAndDuplicates(t *testing.T) {
 	if err := s.Preload(empty); err == nil {
 		t.Error("empty routine should be rejected")
 	}
+}
+
+func TestStoreLookupMisses(t *testing.T) {
+	s := NewStore()
+	hi, lo := testRoutinePair()
+	if err := s.Preload(lo); err != nil {
+		t.Fatal(err)
+	}
+	// 100 is below the highest preloaded ID but was never preloaded; 0xFFFF
+	// lies past the end of the store.
+	for _, id := range []RoutineID{hi.ID, 0, 0xFFFF} {
+		if r, ok := s.Get(id); ok || r != nil {
+			t.Errorf("Get(%d) = (%v, %v), want (nil, false)", id, r, ok)
+		}
+	}
+	if err := s.Preload(&Routine{ID: lo.ID, Name: "again", Prog: lo.Prog}); err == nil ||
+		err.Error() != `core: duplicate routine id 101 ("again")` {
+		t.Errorf("duplicate preload error = %v", err)
+	}
+	if s.Len() != 1 {
+		t.Errorf("Len() = %d after one preload and one rejected duplicate, want 1", s.Len())
+	}
+	defer func() {
+		if got := recover(); got != "core: routine 100 not preloaded" {
+			t.Errorf("MustGet(100) panic = %v", got)
+		}
+	}()
+	s.MustGet(hi.ID)
+}
+
+func TestLibraryLenCountsRoutines(t *testing.T) {
+	s := BuildLibrary()
+	n := 0
+	for id := 0; id <= 0xFFFF; id++ {
+		if r, ok := s.Get(RoutineID(id)); ok {
+			if r.ID != RoutineID(id) {
+				t.Errorf("Get(%d) returned routine %d", id, r.ID)
+			}
+			n++
+		}
+	}
+	if s.Len() != n {
+		t.Errorf("Len() = %d, want the %d routines BuildLibrary preloads", s.Len(), n)
+	}
+}
+
+// TestLibraryPriorities pins the routine priorities the SM's trigger
+// retry pass assumes from a queued trigger's kind alone: compression
+// routines are low priority, decompression routines and the ECC check
+// high.
+func TestLibraryPriorities(t *testing.T) {
+	s := BuildLibrary()
+	want := func(id RoutineID, pri Priority) {
+		t.Helper()
+		if r := s.MustGet(id); r.Priority != pri {
+			t.Errorf("routine %s (%#x) has priority %d, want %d", r.Name, id, r.Priority, pri)
+		}
+	}
+	want(RtBDICompSpecial, PriLow)
+	for _, enc := range BDICompTestOrder {
+		want(RtBDICompTest+RoutineID(enc), PriLow)
+	}
+	want(RtFPCComp, PriLow)
+	want(RtCPackComp, PriLow)
+	for enc := compress.BDIZeros; enc < compress.BDINumEncodings; enc++ {
+		id, err := DecompRoutineID(compress.Compressed{Alg: compress.AlgBDI, Enc: uint8(enc)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want(id, PriHigh)
+	}
+	for _, alg := range []compress.AlgID{compress.AlgFPC, compress.AlgCPack} {
+		id, err := DecompRoutineID(compress.Compressed{Alg: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want(id, PriHigh)
+	}
+	want(RtECCCheck, PriHigh)
 }
 
 func TestControllerTriggerLimits(t *testing.T) {

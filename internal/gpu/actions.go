@@ -1,6 +1,9 @@
 package gpu
 
-import "github.com/caba-sim/caba/internal/compress"
+import (
+	"github.com/caba-sim/caba/internal/compress"
+	"github.com/caba-sim/caba/internal/core"
+)
 
 // Typed event-queue actions and continuations for the SM-side paths that
 // used to capture closures. Pending work must be serializable for
@@ -94,6 +97,16 @@ const (
 	pendECC                         // ECC check over a decompressed image
 )
 
+// priority is the AWC priority of the routine a queued trigger of this
+// kind runs: compression routines are low priority, decompression and
+// ECC-check routines high (pinned by core's library priority test).
+func (k pendingKind) priority() core.Priority {
+	if k == pendCompress {
+		return core.PriLow
+	}
+	return core.PriHigh
+}
+
 // pendingTrigger is one assist-warp trigger waiting for AWT/AWB space; the
 // SM retries it every tick until it lands.
 type pendingTrigger struct {
@@ -106,8 +119,7 @@ type pendingTrigger struct {
 	dc   *decompCtx // pendDecomp (injection active) / pendECC
 }
 
-// runTrigger attempts one queued trigger; true means it no longer needs
-// retrying (landed, or its target was abandoned).
+// runTrigger attempts one queued trigger; true means it landed.
 func (sm *SM) runTrigger(pt *pendingTrigger) bool {
 	switch pt.kind {
 	case pendCompress:

@@ -770,13 +770,7 @@ func (sm *SM) tickCompute(cycle uint64) {
 
 	// Retry assist-warp triggers that previously found structures full.
 	if len(sm.decompRetry) > 0 {
-		kept := sm.decompRetry[:0]
-		for i := range sm.decompRetry {
-			if !sm.runTrigger(&sm.decompRetry[i]) {
-				kept = append(kept, sm.decompRetry[i])
-			}
-		}
-		sm.decompRetry = kept
+		sm.retryTriggers()
 	}
 
 	sm.awc.Tick()
@@ -2394,12 +2388,9 @@ func (sm *SM) stepCompressionChain(se *storeEntry) {
 }
 
 // tryCompressStep triggers the current compression-chain routine for se;
-// true means the trigger landed (or the entry was already released raw by
-// a buffer overflow, which drops the chain).
+// true means the trigger landed. se must not be released: the retry pass
+// drops a queued step whose line a buffer overflow released raw.
 func (sm *SM) tryCompressStep(se *storeEntry) bool {
-	if se.released {
-		return true // overflow released the line raw; drop the chain
-	}
 	rt := sm.sim.AWS.MustGet(se.chain[se.chainPos])
 	if !sm.awc.CanTrigger(rt.Priority, se.warp) {
 		return false
@@ -2526,6 +2517,39 @@ type decompCtx struct {
 	injected bool
 	done     cont
 	buf      [compress.LineSize]byte
+}
+
+// retryTriggers makes one pass over the queued assist-warp triggers,
+// dropping those that land or whose target was abandoned.
+func (sm *SM) retryTriggers() {
+	q := sm.decompRetry
+	// Once a trigger of one priority fails, the rest of that priority
+	// stay queued without being tried this pass. Skipping them is exact:
+	//   - a failed trigger has no side effects;
+	//   - a trigger that lands only adds AWT entries, so it cannot
+	//     unblock a class;
+	//   - CanTrigger(PriLow, ·) and findAssistHost(PriHigh, ·) < 0 do not
+	//     depend on the parent warp.
+	var blocked [2]bool // indexed by core.Priority
+	n := 0
+	for i := range q {
+		pt := &q[i]
+		if pt.kind == pendCompress && pt.se.released {
+			continue // overflow released the line raw; drop the chain
+		}
+		if pri := pt.kind.priority(); !blocked[pri] {
+			if sm.runTrigger(pt) {
+				continue
+			}
+			blocked[pri] = true
+		}
+		if n != i {
+			q[n] = *pt
+		}
+		n++
+	}
+	clear(q[n:])
+	sm.decompRetry = q[:n]
 }
 
 // findAssistHost returns a warp slot that can accept a trigger at the

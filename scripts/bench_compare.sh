@@ -2,7 +2,9 @@
 # Compares the sentinel hot-loop benchmarks (BenchmarkSimCABAPVC,
 # BenchmarkSimCABAPVCBatch, BenchmarkSimHotLoop and the use-case
 # overhead canary BenchmarkSimPrefetchPVC) against the ns/op recorded in
-# BENCH_sim.json and fails if any is more than 10% slower.
+# BENCH_sim.json and fails if any is more than 10% slower. Numbers only
+# compare on a matching host, so it first fails if this run's
+# gomaxprocs/num_cpu differ from the baseline's recorded meta.
 # Run via `make bench-compare` from the repository root. Does not rewrite
 # the baseline — that is `make bench`'s job.
 set -e
@@ -24,6 +26,28 @@ trap 'rm -f "$tmp"' EXIT
 go test -run '^$' \
   -bench 'BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCBatch$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$' \
   -benchtime 5x -count 5 . | tee "$tmp"
+
+# Host check: the baseline's meta against this run's, derived the way
+# scripts/bench.sh records them (GOMAXPROCS from the -N suffix Go appends
+# to benchmark names, absent when it is 1; the online CPU count).
+meta() {
+  awk -F'[,:{} ]+' -v k="\"$1\"" '/"meta"/ {
+      for (i = 1; i <= NF; i++) if ($i == k) print $(i+1)
+    }' BENCH_sim.json
+}
+base_procs=$(meta gomaxprocs)
+base_cpus=$(meta num_cpu)
+if [ -z "$base_procs" ] || [ -z "$base_cpus" ]; then
+  echo "FAIL: BENCH_sim.json has no gomaxprocs/num_cpu meta; run 'make bench' to record a baseline" >&2
+  exit 1
+fi
+cur_procs=$(awk '/^Benchmark/ { if (match($1, /-[0-9]+$/)) { print substr($1, RSTART+1); exit } }' "$tmp")
+cur_procs=${cur_procs:-1}
+cur_cpus=$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo null)
+if [ "$base_procs" != "$cur_procs" ] || [ "$base_cpus" != "$cur_cpus" ]; then
+  echo "FAIL: host mismatch: baseline BENCH_sim.json has gomaxprocs=$base_procs num_cpu=$base_cpus, this run has gomaxprocs=$cur_procs num_cpu=$cur_cpus; run 'make bench' on this host to record a comparable baseline" >&2
+  exit 1
+fi
 
 for name in BenchmarkSimCABAPVC BenchmarkSimCABAPVCBatch BenchmarkSimHotLoop BenchmarkSimPrefetchPVC; do
   base=$(awk -F'[,: ]+' -v n="\"$name\"" '
