@@ -132,70 +132,3 @@ func TestRunContextDeadline(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded wrapping ErrInterrupted", err)
 	}
 }
-
-// TestFaultInjectionBatchDeterminism: the block-batched issue engine
-// must replay the identical fault campaign the unbatched engine does —
-// same injected/detected/recovered counts and bit-identical statistics —
-// at any SM-tick worker count. Batching reorders work within a cycle,
-// never across the fault stream.
-func TestFaultInjectionBatchDeterminism(t *testing.T) {
-	run := func(batch bool, workers int) *caba.Result {
-		t.Helper()
-		cfg := faultConfig(workers)
-		cfg.BatchIssue = batch
-		res, err := caba.Run(cfg, caba.CABABDI, "PVC", 1)
-		if err != nil {
-			t.Fatalf("BatchIssue=%v SMWorkers=%d: %v", batch, workers, err)
-		}
-		return res
-	}
-	ref := run(false, 1)
-	if ref.FaultsInjected == 0 || ref.FaultsDetected == 0 || ref.FaultsRecovered == 0 {
-		t.Fatalf("reference campaign inactive: injected=%d detected=%d recovered=%d",
-			ref.FaultsInjected, ref.FaultsDetected, ref.FaultsRecovered)
-	}
-	for _, v := range []struct {
-		batch   bool
-		workers int
-	}{{true, 1}, {true, 4}, {false, 4}} {
-		res := run(v.batch, v.workers)
-		if res.FaultsInjected != ref.FaultsInjected ||
-			res.FaultsDetected != ref.FaultsDetected ||
-			res.FaultsRecovered != ref.FaultsRecovered {
-			t.Errorf("BatchIssue=%v SMWorkers=%d: campaign diverged: injected %d/%d detected %d/%d recovered %d/%d",
-				v.batch, v.workers,
-				res.FaultsInjected, ref.FaultsInjected,
-				res.FaultsDetected, ref.FaultsDetected,
-				res.FaultsRecovered, ref.FaultsRecovered)
-		}
-		for _, d := range ref.Stats.Diff(res.Stats) {
-			t.Errorf("BatchIssue=%v SMWorkers=%d: stats diverge: %s", v.batch, v.workers, d)
-		}
-	}
-}
-
-// TestWedgeErrorBatchDeterminism: the wedge diagnosis is identical with
-// block-batched issue on or off — the deterministic error string is part
-// of what makes a wedge safely non-retryable for the sweep layers.
-func TestWedgeErrorBatchDeterminism(t *testing.T) {
-	msg := func(batch bool, workers int) string {
-		cfg := faultConfig(workers)
-		cfg.BatchIssue = batch
-		cfg.Faults = faults.Config{Seed: 7, ResponseDropRate: 0.5}
-		_, err := caba.Run(cfg, caba.Base, "PVC", 1)
-		if err == nil {
-			t.Fatalf("BatchIssue=%v SMWorkers=%d: expected a wedge", batch, workers)
-		}
-		return err.Error()
-	}
-	ref := msg(false, 1)
-	for _, v := range []struct {
-		batch   bool
-		workers int
-	}{{true, 1}, {true, 4}} {
-		if got := msg(v.batch, v.workers); got != ref {
-			t.Errorf("wedge error differs at BatchIssue=%v SMWorkers=%d:\n  ref %s\n  got %s",
-				v.batch, v.workers, ref, got)
-		}
-	}
-}

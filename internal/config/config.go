@@ -105,10 +105,13 @@ type Config struct {
 	// within one simulation (the two-phase tick): in phase A the workers
 	// advance their SMs and stage all outbound memory traffic into
 	// per-SM outboxes; in phase B the main goroutine commits the staged
-	// traffic in fixed SM-index order. 1 forces the serial path; 0 (the
-	// default) uses runtime.GOMAXPROCS(0); values above NumSMs are
+	// traffic in fixed SM-index order. 0 (the default) and 1 tick the
+	// SMs serially on the calling goroutine; values above NumSMs are
 	// clamped. Results are bit-identical at every setting — the staging
 	// and ordered commit run identically regardless of worker count.
+	// More than one worker is a measured wall-clock loss on small hosts
+	// (the per-cycle barrier costs more than the SM ticks it overlaps),
+	// and a sweep already keeps the cores busy with whole cells.
 	SMWorkers int
 
 	// FastForward enables the cycle-skipping engine: when every SM is
@@ -187,23 +190,6 @@ type Config struct {
 	// strategy: excluded from the snapshot config hash.
 	Interpreter bool
 
-	// BatchIssue enables block-batched warp execution: when the GTO
-	// scheduler selects a warp whose next instruction heads a
-	// straightline ALU run (precomputed at predecode) and no other event
-	// can intervene before the run's horizon — no pending writebacks,
-	// fills or assist deploys earlier than the window end, no
-	// higher-priority warp becoming ready — the SM executes the run as
-	// macro-steps and replays the architected per-cycle side effects
-	// (issue-slot statistics, stall-attribution charges, assist-warp
-	// utilization windows, energy counters) from a precomputed schedule
-	// instead of re-deriving them through the full scheduler scan each
-	// cycle. Requires the predecoded engine (ignored under Interpreter)
-	// and the GTO scheduler (ignored under LRR). Statistics, snapshots
-	// and the metrics series are bit-identical either way; only
-	// wall-clock time changes. Pure strategy: excluded from the snapshot
-	// config hash.
-	BatchIssue bool
-
 	// AttributeStalls accumulates per-warp stall attribution: every
 	// cycle, each scheduler slot that fails to issue is charged to
 	// exactly one (warp, cause) pair — scoreboard, barrier, drain,
@@ -213,6 +199,26 @@ type Config struct {
 	// slots, in every FastForward/SMWorkers combination. false disables
 	// attribution and adds zero overhead.
 	AttributeStalls bool
+}
+
+// Canonical returns c with every knob that cannot change a simulated
+// result zeroed: the execution-strategy knobs (SMWorkers, FastForward,
+// Interpreter), the checkpoint and audit cadence, the flight-recorder
+// depth and the output paths. The engine is bit-identical across all of
+// them, so two configurations with equal Canonical forms produce equal
+// results; the farm's cell key and the snapshot config hash both hash
+// this form. SampleEvery and AttributeStalls stay: they shape the
+// result's metrics series and stall table.
+func (c Config) Canonical() Config {
+	c.SMWorkers = 0
+	c.FastForward = false
+	c.Interpreter = false
+	c.CheckpointEvery = 0
+	c.AuditEvery = 0
+	c.FlightRecorderDepth = 0
+	c.MetricsFile = ""
+	c.TraceFile = ""
+	return c
 }
 
 // Baseline returns the paper's Table 1 configuration.
@@ -254,7 +260,6 @@ func Baseline() Config {
 		MDLinesPerEntry: 128,
 		Scale:           1.0,
 		FastForward:     true,
-		BatchIssue:      true,
 		WedgeLimit:      10_000_000,
 	}
 }
@@ -299,7 +304,7 @@ func (c *Config) Validate() error {
 	case c.NumSchedulers <= 0:
 		return fmt.Errorf("config: NumSchedulers must be positive")
 	case c.SMWorkers < 0:
-		return fmt.Errorf("config: SMWorkers must be non-negative (0 = GOMAXPROCS)")
+		return fmt.Errorf("config: SMWorkers must be non-negative (0 = serial)")
 	case c.FlightRecorderDepth < 0:
 		return fmt.Errorf("config: FlightRecorderDepth must be non-negative")
 	case c.MetricsFile != "" && c.SampleEvery == 0:

@@ -24,7 +24,7 @@ type WorkerConfig struct {
 	// under the attempt cap). 0 disables the deadline.
 	CellTimeout time.Duration
 	// SMWorkers is the per-simulation SM-tick worker count (0 =
-	// GOMAXPROCS). Pure strategy: results are bit-identical either way.
+	// serial). Pure strategy: results are bit-identical either way.
 	SMWorkers int
 	// CheckpointEvery overrides the mid-run checkpoint-upload cadence in
 	// simulated cycles when the cell's own config leaves it unset

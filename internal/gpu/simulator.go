@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync/atomic"
 
 	"github.com/caba-sim/caba/internal/compress"
@@ -294,14 +293,11 @@ func (sim *Simulator) Run(maxCycles uint64) (err error) {
 		wedgeLimit = defaultWedgeLimit
 	}
 	workers := sim.Cfg.SMWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(sim.sms) {
 		workers = len(sim.sms)
 	}
 	var pool *smPool
-	if workers > 1 {
+	if workers > 1 { // 0 and 1 tick serially on this goroutine
 		pool = newSMPool(sim.sms, workers)
 		defer pool.stop()
 	}

@@ -82,17 +82,6 @@ type Superop struct {
 type Decoded struct {
 	Prog *Program
 	Ops  []Superop
-
-	// RunLen[pc] is the length of the maximal straightline *run* headed at
-	// pc: consecutive ClassALU superops with no memory accesses, no
-	// barriers, no branches (and so no divergence or reconvergence), no
-	// SFU initiation-interval interactions, no assist-warp trigger sites,
-	// and no BadOp — every op advances PC by exactly one. The final
-	// program instruction is never part of a run (falling off the end
-	// exits the warp, a scheduler-visible lifecycle event). A pc heading
-	// no such sequence has RunLen 0; RunLen[pc] >= 2 marks a macro-step
-	// candidate for the block-batched issue engine (Config.BatchIssue).
-	RunLen []int32
 }
 
 // Decoded returns the predecoded form of p, computing and caching it on
@@ -180,25 +169,5 @@ func decodeProgram(p *Program) *Decoded {
 
 		s.In = in
 	}
-	d.RunLen = segmentRuns(d.Ops)
 	return d
-}
-
-// segmentRuns computes the straightline-run table (Decoded.RunLen) with a
-// single backward pass: an op extends the run headed at its successor iff
-// it is a well-formed ALU op, and the final instruction never joins a run
-// (executing it can exit the warp when it falls off the program end).
-// ClassMem (LSU ports, store buffer, MSHR, assist-warp triggers), ClassSFU
-// (initiation interval), ClassCtrl (branches, barriers, exit) and BadOp
-// all terminate runs: each interacts with scheduler state beyond the
-// warp's own scoreboard, so only pure ALU sequences batch.
-func segmentRuns(ops []Superop) []int32 {
-	runs := make([]int32, len(ops))
-	for i := len(ops) - 1; i >= 0; i-- {
-		if i == len(ops)-1 || ops[i].Class != ClassALU || ops[i].BadOp {
-			continue // RunLen 0
-		}
-		runs[i] = runs[i+1] + 1
-	}
-	return runs
 }

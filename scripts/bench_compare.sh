@@ -1,7 +1,7 @@
 #!/bin/sh
 # Compares the sentinel hot-loop benchmarks (BenchmarkSimCABAPVC,
-# BenchmarkSimCABAPVCBatch, BenchmarkSimHotLoop and the use-case
-# overhead canary BenchmarkSimPrefetchPVC) against the ns/op recorded in
+# BenchmarkSimHotLoop and the use-case overhead canary
+# BenchmarkSimPrefetchPVC) against the ns/op recorded in
 # BENCH_sim.json and fails if any is more than 10% slower. Numbers only
 # compare on a matching host, so it first fails if this run's
 # gomaxprocs/num_cpu differ from the baseline's recorded meta.
@@ -24,7 +24,7 @@ trap 'rm -f "$tmp"' EXIT
 # hosts swings ±15% run to run while the floor is stable, and only a
 # floor-vs-floor comparison makes a 10% threshold usable.
 go test -run '^$' \
-  -bench 'BenchmarkSimCABAPVC$|BenchmarkSimCABAPVCBatch$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$' \
+  -bench 'BenchmarkSimCABAPVC$|BenchmarkSimHotLoop$|BenchmarkSimPrefetchPVC$' \
   -benchtime 5x -count 5 . | tee "$tmp"
 
 # Host check: the baseline's meta against this run's, derived the way
@@ -49,7 +49,7 @@ if [ "$base_procs" != "$cur_procs" ] || [ "$base_cpus" != "$cur_cpus" ]; then
   exit 1
 fi
 
-for name in BenchmarkSimCABAPVC BenchmarkSimCABAPVCBatch BenchmarkSimHotLoop BenchmarkSimPrefetchPVC; do
+for name in BenchmarkSimCABAPVC BenchmarkSimHotLoop BenchmarkSimPrefetchPVC; do
   base=$(awk -F'[,: ]+' -v n="\"$name\"" '
     $0 ~ n {
       for (i = 1; i <= NF; i++) if ($i == "\"ns_per_op\"") print $(i+1)

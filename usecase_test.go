@@ -79,11 +79,10 @@ func TestUseCaseGoldenEquivalence(t *testing.T) {
 }
 
 // TestUseCaseDeterminismGrid runs each use-case design across the full
-// execution-strategy grid — SMWorkers {1,4} × FastForward {off,on} ×
-// BatchIssue {off,on} — and requires bit-identical statistics from every
-// combination. The use-case structures are per-SM and quiescence/batch
-// establishment refuse to claim stretches the use cases could act in, so
-// the strategies must be invisible.
+// execution-strategy grid — SMWorkers {1,4} × FastForward {off,on} — and
+// requires bit-identical statistics from every combination. The use-case
+// structures are per-SM and quiescence refuses to claim stretches the use
+// cases could act in, so the strategies must be invisible.
 func TestUseCaseDeterminismGrid(t *testing.T) {
 	cases := []struct {
 		design caba.Design
@@ -101,31 +100,28 @@ func TestUseCaseDeterminismGrid(t *testing.T) {
 			var refName string
 			for _, workers := range []int{1, 4} {
 				for _, ff := range []bool{false, true} {
-					for _, batch := range []bool{false, true} {
-						cfg := useCaseConfig()
-						if c.small {
-							cfg = smallMachine(cfg)
-						}
-						cfg.SMWorkers = workers
-						cfg.FastForward = ff
-						cfg.BatchIssue = batch
-						name := fmt.Sprintf("w%d-ff%v-batch%v", workers, ff, batch)
-						res, err := caba.Run(cfg, c.design, c.app, 1)
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						// FF bookkeeping counters differ by construction; the
-						// architected statistics must not.
-						got := *res.Stats
-						if ref == nil {
-							r := got
-							ref, refName = &r, name
-							continue
-						}
-						if !reflect.DeepEqual(*ref, got) {
-							for _, d := range ref.Diff(&got) {
-								t.Errorf("%s vs %s: %s", refName, name, d)
-							}
+					cfg := useCaseConfig()
+					if c.small {
+						cfg = smallMachine(cfg)
+					}
+					cfg.SMWorkers = workers
+					cfg.FastForward = ff
+					name := fmt.Sprintf("w%d-ff%v", workers, ff)
+					res, err := caba.Run(cfg, c.design, c.app, 1)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					// FF bookkeeping counters differ by construction; the
+					// architected statistics must not.
+					got := *res.Stats
+					if ref == nil {
+						r := got
+						ref, refName = &r, name
+						continue
+					}
+					if !reflect.DeepEqual(*ref, got) {
+						for _, d := range ref.Diff(&got) {
+							t.Errorf("%s vs %s: %s", refName, name, d)
 						}
 					}
 				}
