@@ -279,36 +279,24 @@ func prepareApp(cfg *Config, design Design, appName string, seed int64) (*gpu.Si
 // A resume snapshot that no longer decodes (torn file, version skew,
 // different simulated configuration) does not brick the run: it is
 // deleted and the run starts from cycle zero.
-func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName string, seed int64, ckptPath string) (res *Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			res, err = nil, fmt.Errorf("caba: %s/%s: internal panic: %v", appName, design.Name, r)
-		}
-	}()
-	sim, design, inputRatio, maxCycles, err := prepareApp(&cfg, design, appName, seed)
-	if err != nil {
-		return nil, err
-	}
-	if blob, rerr := os.ReadFile(ckptPath); rerr == nil {
-		if lerr := sim.LoadState(blob); lerr != nil {
-			os.Remove(ckptPath)
-		}
-	}
+func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName string, seed int64, ckptPath string) (*Result, error) {
+	blob, _ := os.ReadFile(ckptPath)
+	var save func(uint64, []byte) error
 	if cfg.CheckpointEvery > 0 {
-		sim.OnCheckpoint = func(cycle uint64, blob []byte) error {
-			return writeFileAtomic(ckptPath, blob)
-		}
+		save = func(_ uint64, b []byte) error { return writeFileAtomic(ckptPath, b) }
 	}
-	if err := runSim(ctx, sim, maxCycles); err != nil {
-		err = fmt.Errorf("caba: %s/%s: %w", appName, design.Name, err)
+	res, sim, _, runErr, err := runResumable(ctx, cfg, design, appName, seed, blob,
+		func() { os.Remove(ckptPath) }, save)
+	switch {
+	case runErr != nil:
 		repro := fmt.Sprintf("app=%s design=%s seed=%d scale=%g smworkers=%d fastforward=%v checkpoint_every=%d resume=%s",
 			appName, design.Name, seed, cfg.Scale, cfg.SMWorkers, cfg.FastForward, cfg.CheckpointEvery, ckptPath)
-		writeCrashReport(ckptPath+".crash", repro, err, sim)
-		return nil, err
+		writeCrashReport(ckptPath+".crash", repro, runErr, sim)
+	case sim != nil:
+		os.Remove(ckptPath)
+		os.Remove(ckptPath + ".crash")
 	}
-	os.Remove(ckptPath)
-	os.Remove(ckptPath + ".crash")
-	return finishResult(appName, design, &cfg, sim, inputRatio)
+	return res, err
 }
 
 // RunResumable is the checkpointed run primitive with caller-managed blob
@@ -328,29 +316,46 @@ func RunCheckpointed(ctx context.Context, cfg Config, design Design, appName str
 // RunCheckpointed is this function plus file persistence, crash reports
 // and checkpoint cleanup; workers that report to a coordinator instead of
 // the local filesystem use RunResumable directly.
-func RunResumable(ctx context.Context, cfg Config, design Design, appName string, seed int64, resume []byte, save func(cycle uint64, blob []byte) error) (res *Result, resumedAt uint64, err error) {
+func RunResumable(ctx context.Context, cfg Config, design Design, appName string, seed int64, resume []byte, save func(cycle uint64, blob []byte) error) (*Result, uint64, error) {
+	res, _, resumedAt, _, err := runResumable(ctx, cfg, design, appName, seed, resume, nil, save)
+	return res, resumedAt, err
+}
+
+// runResumable is the body of RunResumable and RunCheckpointed: build the
+// cell, restore resume when it decodes (calling rejected, if set, before
+// simulating when a non-nil resume does not — RunCheckpointed passes nil
+// when there is no checkpoint file), install save as the checkpoint hook,
+// run and derive the result. sim is returned once the simulation has run:
+// on success, or with runErr when it failed, so a crash report can carry
+// the flight-recorder trail. err is the failure the caller returns.
+func runResumable(ctx context.Context, cfg Config, design Design, appName string, seed int64,
+	resume []byte, rejected func(), save func(uint64, []byte) error) (res *Result, sim *gpu.Simulator, resumedAt uint64, runErr, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			res, err = nil, fmt.Errorf("caba: %s/%s: internal panic: %v", appName, design.Name, r)
 		}
 	}()
-	sim, design, inputRatio, maxCycles, err := prepareApp(&cfg, design, appName, seed)
+	s, design, inputRatio, maxCycles, err := prepareApp(&cfg, design, appName, seed)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, nil, err
 	}
-	if len(resume) > 0 {
-		if lerr := sim.LoadState(resume); lerr == nil {
-			resumedAt = sim.Cycles()
+	if resume != nil {
+		if len(resume) > 0 && s.LoadState(resume) == nil {
+			resumedAt = s.Cycles()
+		} else if rejected != nil {
+			rejected()
 		}
 	}
 	if cfg.CheckpointEvery > 0 && save != nil {
-		sim.OnCheckpoint = save
+		s.OnCheckpoint = save
 	}
-	if err := runSim(ctx, sim, maxCycles); err != nil {
-		return nil, resumedAt, fmt.Errorf("caba: %s/%s: %w", appName, design.Name, err)
+	if err := runSim(ctx, s, maxCycles); err != nil {
+		runErr = fmt.Errorf("caba: %s/%s: %w", appName, design.Name, err)
+		return nil, s, resumedAt, runErr, runErr
 	}
+	sim = s
 	res, err = finishResult(appName, design, &cfg, sim, inputRatio)
-	return res, resumedAt, err
+	return res, sim, resumedAt, nil, err
 }
 
 // CheckpointCycle reads the simulated cycle a checkpoint blob was taken

@@ -132,9 +132,9 @@ func (sm *SM) traceWarpEnd(w *warpCtx) {
 }
 
 // traceAssistBegin opens an assist warp's spawn→complete span. cat keys
-// the trigger kind ("fill-decompress", "writeback-compress",
-// "ecc-check") so the timeline separates the high-priority fill path
-// from the idle-cycle compression path.
+// the trigger kind (assistTraceCat: "fill-decompress",
+// "writeback-compress", "ecc-check", ...) so the timeline separates the
+// high-priority fill path from the idle-cycle compression path.
 func (sm *SM) traceAssistBegin(e *core.Entry, cat string) {
 	tid := sm.trAWNext
 	if n := len(sm.trAWFree); n > 0 {
@@ -191,8 +191,8 @@ func (sm *SM) traceMSHREnd(ln uint64) {
 }
 
 // assistTraceCat derives the trace category for an AWT entry from its
-// routine — used when re-opening spans after a snapshot restore, where
-// the original trigger site is gone.
+// routine. Both launchAssist and the spans re-opened after a snapshot
+// restore use it, so the two always agree.
 func assistTraceCat(rt *core.Routine) string {
 	switch {
 	case rt.ID == core.RtECCCheck:

@@ -271,7 +271,7 @@ func (sm *SM) tickSafe(cycle uint64) {
 // stage into the per-SM outbox/write buffer; in event contexts (phase B,
 // main goroutine only) they apply directly. Reads always overlay the SM's
 // own staged writes, so within a tick the SM observes its own effects
-// exactly as it would on a fully serial schedule.
+// immediately and other SMs' effects from the end of the previous cycle.
 
 // sysReadLine requests a line from the memory system.
 func (sm *SM) sysReadLine(ln uint64, user any) {
@@ -372,6 +372,25 @@ func (sm *SM) newAssistExec(rt *core.Routine) *core.Exec {
 	ex := core.NewAssistExec(rt)
 	ex.Interp = sm.sim.Cfg.Interpreter
 	return ex
+}
+
+// launchAssist is the one assist-warp launch path: it triggers rt on
+// host's AWT slot with ex staged and user as the pending-work payload,
+// counts the launch and opens its trace span. The span category comes
+// from assistTraceCat, as on snapshot restore, so live and restored
+// spans agree. False means the AWT refused the trigger; ex is then
+// recycled and nothing else changed.
+func (sm *SM) launchAssist(rt *core.Routine, host int, ex *core.Exec, user any) bool {
+	e := sm.awc.Trigger(rt, host, ex, user, sm.assistOnComplete(user, rt.ID))
+	if e == nil {
+		sm.releaseAssistExec(ex)
+		return false
+	}
+	sm.stat.AssistWarps++
+	if sm.tr != nil {
+		sm.traceAssistBegin(e, assistTraceCat(rt))
+	}
+	return true
 }
 
 // releaseAssistExec returns a retired assist exec to the pool. The exec
@@ -616,10 +635,13 @@ func (sm *SM) retireCTAIfDone(cta *ctaCtx) {
 	if sm.fr != nil {
 		sm.record(fmt.Sprintf("CTA %d retired", cta.id), 0)
 	}
-	// Dispatch pulls from the shared CTA counter; during a concurrent tick
-	// the request is deferred and the simulator runs it at the cycle
-	// barrier in SM-index order, reproducing the serial tick's dispatch
-	// order (a placed CTA cannot issue until the next tick either way).
+	// Dispatch pulls from the shared CTA counter; during a tick the
+	// request is deferred and the simulator runs it at the cycle barrier
+	// in SM-index order, after the whole retirement sweep. The new CTAs
+	// then fill the freed warp slots in ascending order; dispatching
+	// inside the sweep would fill them in retirement order, which changes
+	// the schedule (it alone moved Base PVC at scale 0.15 from 72794 to
+	// 72504 cycles; TestDispatchAtCycleBarrier pins it).
 	if sm.inTick {
 		sm.wantDispatch = true
 		return
@@ -1640,16 +1662,10 @@ func (sm *SM) tryCompressStep(se *storeEntry) bool {
 	}
 	ex := sm.newAssistExec(rt)
 	sm.domReadRaw(se.lineAddr, ex.StageIn[:compress.LineSize])
-	e := sm.awc.Trigger(rt, se.warp, ex, se, sm.assistOnComplete(se, rt.ID))
-	if e == nil {
-		sm.releaseAssistExec(ex)
+	if !sm.launchAssist(rt, se.warp, ex, se) {
 		return false
 	}
 	se.state = sbCompress
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "writeback-compress")
-	}
 	return true
 }
 
@@ -1864,16 +1880,7 @@ func (sm *SM) tryDecompTrigger(pt *pendingTrigger) bool {
 	} else {
 		user = &decompPlain{ln: pt.ln, done: pt.done}
 	}
-	e := sm.awc.Trigger(rt, host, ex, user, sm.assistOnComplete(user, id))
-	if e == nil {
-		sm.releaseAssistExec(ex)
-		return false
-	}
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "fill-decompress")
-	}
-	return true
+	return sm.launchAssist(rt, host, ex, user)
 }
 
 // verifyDecompression checks the assist warp's output against the backing
@@ -1933,16 +1940,7 @@ func (sm *SM) tryECC(dc *decompCtx) bool {
 	}
 	ex := sm.newAssistExec(rt)
 	copy(ex.StageIn, dc.buf[:])
-	e := sm.awc.Trigger(rt, host, ex, dc, sm.assistOnComplete(dc, core.RtECCCheck))
-	if e == nil {
-		sm.releaseAssistExec(ex)
-		return false
-	}
-	sm.stat.AssistWarps++
-	if sm.tr != nil {
-		sm.traceAssistBegin(e, "ecc-check")
-	}
-	return true
+	return sm.launchAssist(rt, host, ex, dc)
 }
 
 // finishECCCheck resolves the check: a clean image completes the fill; a

@@ -6,6 +6,7 @@ import (
 	"github.com/caba-sim/caba/internal/compress"
 	"github.com/caba-sim/caba/internal/core"
 	"github.com/caba-sim/caba/internal/isa"
+	"github.com/caba-sim/caba/internal/mem"
 	"github.com/caba-sim/caba/internal/snapshot"
 	"github.com/caba-sim/caba/internal/timing"
 )
@@ -21,14 +22,17 @@ import (
 // with fast-forward on or off.
 //
 // Pending work is held in pointer-linked structures (loadReq, storeEntry,
-// fillCtx, decompCtx, decompPlain) that are shared between warps, MSHR
-// waiter lists, AWT entries and queued events, so the encoder first
-// collects every reachable object into per-type tables (a deterministic
-// walk over SM state, then queue events, then memory-side waiters) and
-// encodes each reference as a table index. Decode allocates the tables
-// first, fills the payloads, then rebuilds the memory system, the event
-// queue and the SMs, resolving references back through the tables —
-// preserving aliasing exactly.
+// fillCtx, decompCtx, decompPlain, memoCtx) that are shared between
+// warps, MSHR waiter lists, AWT entries and queued events, so every
+// reference is encoded as an index into a per-type objTable. The encoder
+// makes one pass: it writes the memory-system, event-queue, per-SM and
+// observability sections into a body, interning each object the first
+// time a reference to it is written; then it writes the payloads of the
+// interned objects, which may intern further objects, until no table
+// grows. The blob carries the table counts, the payload records and then
+// the body, so the decoder allocates every table, fills every payload
+// and only then decodes the body, resolving references back through the
+// tables — preserving aliasing exactly.
 
 // snapErrf builds a structured format error for semantic (non-framing)
 // snapshot problems.
@@ -48,7 +52,9 @@ const (
 	akHWDetect
 )
 
-// User / object reference tags.
+// Pending-work table tags: a tagged reference (an MSHR waiter, an AWT
+// entry's user, a memory action's user) names its table, and so does
+// each payload record.
 const (
 	refNil uint8 = iota
 	refFill
@@ -59,363 +65,450 @@ const (
 	refMemo
 )
 
-// objTables are the identity tables for pointer-shared pending-work
-// objects. Index order is the deterministic registration order.
-type objTables struct {
-	loadIdx  map[*loadReq]int
-	loads    []*loadReq
-	storeIdx map[*storeEntry]int
-	stores   []*storeEntry
-	fillIdx  map[*fillCtx]int
-	fills    []*fillCtx
-	dcIdx    map[*decompCtx]int
-	dcs      []*decompCtx
-	dpIdx    map[*decompPlain]int
-	dps      []*decompPlain
-	memoIdx  map[*memoCtx]int
-	memos    []*memoCtx
+// objTable is the identity table for one kind of pointer-shared
+// pending-work object. Saving, ref interns an object the first time a
+// reference to it is written, so indices follow first-reference order of
+// the deterministic save walk, and flush emits the payload records of
+// newly interned objects. Loading, alloc pre-allocates the objects, fill
+// decodes their payloads in index order and get resolves range-checked
+// references.
+type objTable[T any] struct {
+	name string     // type name for error messages
+	tag  uint8      // payload record tag
+	idx  map[*T]int // save side: object -> index
+	objs []*T       // index -> object
+	done int        // payload records written (save) or decoded (load)
+}
 
-	// warpSM maps each warp slot to its SM index so loadReq.warp can be
-	// encoded as (sm, slot).
+// ref writes p's index (-1 for nil), interning p on first sight.
+func (t *objTable[T]) ref(w *snapshot.Writer, p *T) {
+	if p == nil {
+		w.Int(-1)
+		return
+	}
+	i, ok := t.idx[p]
+	if !ok {
+		if t.idx == nil {
+			t.idx = make(map[*T]int)
+		}
+		i = len(t.objs)
+		t.idx[p] = i
+		t.objs = append(t.objs, p)
+	}
+	w.Int(i)
+}
+
+// taggedRef writes the table's tag, then p's reference.
+func (t *objTable[T]) taggedRef(w *snapshot.Writer, p *T) {
+	w.U8(t.tag)
+	t.ref(w, p)
+}
+
+// flush writes a tagged payload record for every object interned since
+// the last call and reports whether there was any.
+func (t *objTable[T]) flush(w *snapshot.Writer, enc func(*snapshot.Writer, *T)) bool {
+	start := t.done
+	for ; t.done < len(t.objs); t.done++ {
+		w.U8(t.tag)
+		enc(w, t.objs[t.done])
+	}
+	return t.done > start
+}
+
+// alloc pre-allocates n zero objects.
+func (t *objTable[T]) alloc(n int) {
+	t.objs = make([]*T, n)
+	for i := range t.objs {
+		t.objs[i] = new(T)
+	}
+}
+
+// fill decodes the payload of the next object in index order.
+func (t *objTable[T]) fill(r *snapshot.Reader, dec func(*snapshot.Reader, *T) error) error {
+	if t.done >= len(t.objs) {
+		return snapErrf("more %s records than %s objects", t.name, t.name)
+	}
+	t.done++
+	return dec(r, t.objs[t.done-1])
+}
+
+// get reads a reference and resolves it (nil for -1).
+func (t *objTable[T]) get(r *snapshot.Reader) (*T, error) {
+	i := r.Int()
+	if i == -1 || r.Err() != nil {
+		return nil, r.Err()
+	}
+	if i < 0 || i >= len(t.objs) {
+		return nil, snapErrf("%s reference %d out of range", t.name, i)
+	}
+	return t.objs[i], nil
+}
+
+// getAny is get for a tagged reference. A nil index decodes to a typed
+// nil, exactly as it was saved (the MSHR's assist-prefetch waiter is a
+// nil *loadReq).
+func getAny[T any](t *objTable[T], r *snapshot.Reader) (any, error) {
+	p, err := t.get(r)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// snapTables holds one objTable per pending-work type, plus what their
+// payload codecs need.
+type snapTables struct {
+	sim    *Simulator
+	loads  objTable[loadReq]
+	stores objTable[storeEntry]
+	fills  objTable[fillCtx]
+	dcs    objTable[decompCtx]
+	dps    objTable[decompPlain]
+	memos  objTable[memoCtx]
+
+	// warpSM maps each warp slot to its SM index so warp references can
+	// be encoded as (sm, slot). Save side only.
 	warpSM map[*warpCtx]int
-
-	err error // first registration failure (unknown object type)
 }
 
-func (t *objTables) fail(err error) {
-	if t.err == nil {
-		t.err = err
-	}
-}
-
-func (t *objTables) regLoad(q *loadReq) {
-	if q == nil {
-		return
-	}
-	if _, ok := t.loadIdx[q]; ok {
-		return
-	}
-	t.loadIdx[q] = len(t.loads)
-	t.loads = append(t.loads, q)
-}
-
-func (t *objTables) regStore(se *storeEntry) {
-	if se == nil {
-		return
-	}
-	if _, ok := t.storeIdx[se]; ok {
-		return
-	}
-	t.storeIdx[se] = len(t.stores)
-	t.stores = append(t.stores, se)
-}
-
-func (t *objTables) regCont(c cont) {
-	t.regFill(c.fill)
-	t.regLoad(c.req)
-}
-
-func (t *objTables) regFill(fc *fillCtx) {
-	if fc == nil {
-		return
-	}
-	if _, ok := t.fillIdx[fc]; ok {
-		return
-	}
-	t.fillIdx[fc] = len(t.fills)
-	t.fills = append(t.fills, fc)
-	t.regLoad(fc.load)
-	t.regStore(fc.se)
-	t.regCont(fc.after)
-}
-
-func (t *objTables) regDC(dc *decompCtx) {
-	if dc == nil {
-		return
-	}
-	if _, ok := t.dcIdx[dc]; ok {
-		return
-	}
-	t.dcIdx[dc] = len(t.dcs)
-	t.dcs = append(t.dcs, dc)
-	t.regCont(dc.done)
-}
-
-func (t *objTables) regDP(dp *decompPlain) {
-	if dp == nil {
-		return
-	}
-	if _, ok := t.dpIdx[dp]; ok {
-		return
-	}
-	t.dpIdx[dp] = len(t.dps)
-	t.dps = append(t.dps, dp)
-	t.regCont(dp.done)
-}
-
-func (t *objTables) regMemo(mc *memoCtx) {
-	if mc == nil {
-		return
-	}
-	if _, ok := t.memoIdx[mc]; ok {
-		return
-	}
-	t.memoIdx[mc] = len(t.memos)
-	t.memos = append(t.memos, mc)
-}
-
-func (t *objTables) regUser(u any) {
-	switch v := u.(type) {
-	case nil:
-	case *fillCtx:
-		t.regFill(v)
-	case *loadReq:
-		t.regLoad(v)
-	case *storeEntry:
-		t.regStore(v)
-	case *decompCtx:
-		t.regDC(v)
-	case *decompPlain:
-		t.regDP(v)
-	case *memoCtx:
-		t.regMemo(v)
-	default:
-		t.fail(snapErrf("unserializable pending-work object %T", u))
+func newSnapTables(sim *Simulator) *snapTables {
+	return &snapTables{
+		sim:    sim,
+		loads:  objTable[loadReq]{name: "loadReq", tag: refLoad},
+		stores: objTable[storeEntry]{name: "storeEntry", tag: refStore},
+		fills:  objTable[fillCtx]{name: "fillCtx", tag: refFill},
+		dcs:    objTable[decompCtx]{name: "decompCtx", tag: refDecompCtx},
+		dps:    objTable[decompPlain]{name: "decompPlain", tag: refDecompPlain},
+		memos:  objTable[memoCtx]{name: "memoCtx", tag: refMemo},
 	}
 }
 
-// collect registers every reachable pending-work object in deterministic
-// order: SM-resident state in SM-index order, then event-queue actions in
-// firing order, then memory-side waiters in partition order.
-func (sim *Simulator) collect(evs []timing.Event) (*objTables, error) {
-	t := &objTables{
-		loadIdx:  make(map[*loadReq]int),
-		storeIdx: make(map[*storeEntry]int),
-		fillIdx:  make(map[*fillCtx]int),
-		dcIdx:    make(map[*decompCtx]int),
-		dpIdx:    make(map[*decompPlain]int),
-		memoIdx:  make(map[*memoCtx]int),
-		warpSM:   make(map[*warpCtx]int),
-	}
-	for _, sm := range sim.sms {
-		for _, w := range sm.warps {
-			t.warpSM[w] = sm.id
-			t.regLoad(w.replay)
-		}
-		for _, q := range sm.replayQ {
-			t.regLoad(q)
-		}
-		for _, se := range sm.storeBuf {
-			t.regStore(se)
-		}
-		for _, ln := range sm.mshr.Lines() {
-			for _, wt := range sm.mshr.Waiters(ln) {
-				t.regUser(wt)
-			}
-		}
-		for i := range sm.wbRing {
-			for j := range sm.wbRing[i] {
-				t.regLoad(sm.wbRing[i][j].req)
-			}
-		}
-		for i := range sm.decompRetry {
-			pt := &sm.decompRetry[i]
-			t.regStore(pt.se)
-			t.regDC(pt.dc)
-			t.regCont(pt.done)
-		}
-		for _, e := range sm.awc.Entries() {
-			t.regUser(e.User)
-		}
-	}
-	for _, ev := range evs {
-		switch a := ev.Act.(type) {
-		case timing.Nop:
-		case actHWCompress:
-			t.regStore(a.se)
-		case actCompleteFill:
-			t.regFill(a.fill)
-		case actHWDetect:
-			t.regFill(a.fill)
-		default:
-			if !sim.Sys.VisitActionUsers(a, t.regUser) {
-				if timing.IsOpaque(a) {
-					return nil, snapErrf("opaque closure event on the queue (cannot checkpoint)")
-				}
-				return nil, snapErrf("unserializable event action %T", a)
-			}
-		}
-	}
-	sim.Sys.VisitUsers(t.regUser)
-	if t.err != nil {
-		return nil, t.err
-	}
-	return t, nil
-}
-
-// encUser encodes a pending-work reference (tagged table index).
-func (t *objTables) encUser(w *snapshot.Writer, u any) error {
+// encUser encodes a pending-work reference (tag, then table index).
+func (t *snapTables) encUser(w *snapshot.Writer, u any) error {
 	switch v := u.(type) {
 	case nil:
 		w.U8(refNil)
 	case *fillCtx:
-		w.U8(refFill)
-		return t.encFill(w, v)
+		t.fills.taggedRef(w, v)
 	case *loadReq:
-		w.U8(refLoad)
-		return t.encLoad(w, v)
+		t.loads.taggedRef(w, v)
 	case *storeEntry:
-		w.U8(refStore)
-		return t.encStore(w, v)
+		t.stores.taggedRef(w, v)
 	case *decompCtx:
-		w.U8(refDecompCtx)
-		return t.encDC(w, v)
+		t.dcs.taggedRef(w, v)
 	case *decompPlain:
-		w.U8(refDecompPlain)
-		return t.encDP(w, v)
+		t.dps.taggedRef(w, v)
 	case *memoCtx:
-		w.U8(refMemo)
-		return t.encMemo(w, v)
+		t.memos.taggedRef(w, v)
 	default:
 		return snapErrf("unserializable pending-work object %T", u)
 	}
 	return nil
 }
 
-func (t *objTables) encMemo(w *snapshot.Writer, mc *memoCtx) error {
-	if mc == nil {
-		w.Int(-1)
-		return nil
+// decUser decodes a tagged pending-work reference.
+func (t *snapTables) decUser(r *snapshot.Reader) (any, error) {
+	switch tag := r.U8(); tag {
+	case refNil:
+		return nil, r.Err()
+	case refFill:
+		return getAny(&t.fills, r)
+	case refLoad:
+		return getAny(&t.loads, r)
+	case refStore:
+		return getAny(&t.stores, r)
+	case refDecompCtx:
+		return getAny(&t.dcs, r)
+	case refDecompPlain:
+		return getAny(&t.dps, r)
+	case refMemo:
+		return getAny(&t.memos, r)
+	default:
+		return nil, snapErrf("pending-work reference tag %d out of range", tag)
 	}
-	i, ok := t.memoIdx[mc]
-	if !ok {
-		return snapErrf("unregistered memoCtx in snapshot walk")
-	}
-	w.Int(i)
-	return nil
 }
 
-func (t *objTables) encLoad(w *snapshot.Writer, q *loadReq) error {
-	if q == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.loadIdx[q]
-	if !ok {
-		return snapErrf("unregistered loadReq in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encStore(w *snapshot.Writer, se *storeEntry) error {
-	if se == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.storeIdx[se]
-	if !ok {
-		return snapErrf("unregistered storeEntry in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encFill(w *snapshot.Writer, fc *fillCtx) error {
-	if fc == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.fillIdx[fc]
-	if !ok {
-		return snapErrf("unregistered fillCtx in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encDC(w *snapshot.Writer, dc *decompCtx) error {
-	if dc == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.dcIdx[dc]
-	if !ok {
-		return snapErrf("unregistered decompCtx in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encDP(w *snapshot.Writer, dp *decompPlain) error {
-	if dp == nil {
-		w.Int(-1)
-		return nil
-	}
-	i, ok := t.dpIdx[dp]
-	if !ok {
-		return snapErrf("unregistered decompPlain in snapshot walk")
-	}
-	w.Int(i)
-	return nil
-}
-
-func (t *objTables) encCont(w *snapshot.Writer, c cont) error {
+func (t *snapTables) saveCont(w *snapshot.Writer, c cont) {
 	w.U8(uint8(c.kind))
 	w.U64(c.ln)
-	if err := t.encFill(w, c.fill); err != nil {
+	t.fills.ref(w, c.fill)
+	t.loads.ref(w, c.req)
+}
+
+func (t *snapTables) restoreCont(r *snapshot.Reader) (cont, error) {
+	var c cont
+	k := r.U8()
+	if k > uint8(contLoadLineDone) {
+		return c, snapErrf("continuation kind %d out of range", k)
+	}
+	c.kind = contKind(k)
+	c.ln = r.U64()
+	var err error
+	if c.fill, err = t.fills.get(r); err != nil {
+		return c, err
+	}
+	c.req, err = t.loads.get(r)
+	return c, err
+}
+
+// saveWarp encodes a warp slot as (sm, slot), (-1, -1) for nil.
+func (t *snapTables) saveWarp(w *snapshot.Writer, wp *warpCtx) {
+	if wp == nil {
+		w.Int(-1)
+		w.Int(-1)
+		return
+	}
+	w.Int(t.warpSM[wp])
+	w.Int(wp.id)
+}
+
+// restoreWarp mirrors saveWarp.
+func (t *snapTables) restoreWarp(r *snapshot.Reader) (*warpCtx, error) {
+	smIdx, wid := r.Int(), r.Int()
+	if r.Err() != nil || smIdx < 0 {
+		return nil, r.Err()
+	}
+	if smIdx >= len(t.sim.sms) || wid < 0 || wid >= len(t.sim.sms[smIdx].warps) {
+		return nil, snapErrf("warp reference out of range")
+	}
+	return t.sim.sms[smIdx].warps[wid], nil
+}
+
+// kernelSop re-resolves a superop PC against the kernel's decoded
+// program (superops are interned per program).
+func (t *snapTables) kernelSop(pc int) (*isa.Superop, error) {
+	ops := t.sim.Kernel.Prog.Decoded().Ops
+	if pc < 0 || pc >= len(ops) {
+		return nil, snapErrf("superop pc %d out of range", pc)
+	}
+	return &ops[pc], nil
+}
+
+// --- Payload records ---
+
+func (t *snapTables) saveLoad(w *snapshot.Writer, q *loadReq) {
+	t.saveWarp(w, q.warp)
+	if q.sop != nil {
+		w.Bool(true)
+		w.Int(int(q.sop.PC))
+	} else {
+		w.Bool(false)
+	}
+	w.Int(q.linesPending)
+	w.U64(q.issued)
+	w.Len(len(q.todo))
+	for _, ln := range q.todo {
+		w.U64(ln)
+	}
+}
+
+func (t *snapTables) restoreLoad(r *snapshot.Reader, q *loadReq) (err error) {
+	if q.warp, err = t.restoreWarp(r); err != nil {
 		return err
 	}
-	return t.encLoad(w, c.req)
+	if r.Bool() {
+		if q.sop, err = t.kernelSop(r.Int()); err != nil {
+			return err
+		}
+	}
+	q.linesPending = r.Int()
+	q.issued = r.U64()
+	n := r.Len(maxGPUSnapLen)
+	for i := 0; i < n; i++ {
+		q.todo = append(q.todo, r.U64())
+	}
+	return r.Err()
+}
+
+func (t *snapTables) saveStore(w *snapshot.Writer, se *storeEntry) {
+	w.U64(se.lineAddr)
+	w.U32(se.coverage)
+	w.Int(se.warp)
+	w.U64(se.lastTouch)
+	w.U8(uint8(se.state))
+	w.Len(len(se.chain))
+	for _, id := range se.chain {
+		w.U64(uint64(id))
+	}
+	w.Int(se.chainPos)
+	w.U64(uint64(se.alg))
+	w.Bool(se.released)
+}
+
+func (t *snapTables) restoreStore(r *snapshot.Reader, se *storeEntry) error {
+	se.lineAddr = r.U64()
+	se.coverage = r.U32()
+	se.warp = r.Int()
+	se.lastTouch = r.U64()
+	st := r.U8()
+	if st > uint8(sbQueued) {
+		return snapErrf("store-buffer state %d out of range", st)
+	}
+	se.state = storeState(st)
+	n := r.Len(maxGPUSnapLen)
+	for i := 0; i < n; i++ {
+		se.chain = append(se.chain, core.RoutineID(r.U64()))
+	}
+	se.chainPos = r.Int()
+	se.alg = compress.AlgID(r.U64())
+	se.released = r.Bool()
+	if se.chainPos < 0 || (len(se.chain) > 0 && se.chainPos > len(se.chain)) {
+		return snapErrf("compression chain position out of range")
+	}
+	return r.Err()
+}
+
+func (t *snapTables) saveFill(w *snapshot.Writer, fc *fillCtx) {
+	w.U8(uint8(fc.kind))
+	t.loads.ref(w, fc.load)
+	t.stores.ref(w, fc.se)
+	t.saveCont(w, fc.after)
+}
+
+func (t *snapTables) restoreFill(r *snapshot.Reader, fc *fillCtx) (err error) {
+	k := r.U8()
+	if k > uint8(fillRefetch) {
+		return snapErrf("fill kind %d out of range", k)
+	}
+	fc.kind = fillKind(k)
+	if fc.load, err = t.loads.get(r); err != nil {
+		return err
+	}
+	if fc.se, err = t.stores.get(r); err != nil {
+		return err
+	}
+	fc.after, err = t.restoreCont(r)
+	return err
+}
+
+func (t *snapTables) saveDC(w *snapshot.Writer, dc *decompCtx) {
+	w.U64(dc.ln)
+	w.Int(dc.warp)
+	w.Bool(dc.injected)
+	t.saveCont(w, dc.done)
+	w.Bytes(dc.buf[:])
+}
+
+func (t *snapTables) restoreDC(r *snapshot.Reader, dc *decompCtx) (err error) {
+	dc.ln = r.U64()
+	dc.warp = r.Int()
+	dc.injected = r.Bool()
+	if dc.done, err = t.restoreCont(r); err != nil {
+		return err
+	}
+	buf := r.Bytes(maxGPUSnapLen)
+	if r.Err() != nil {
+		return r.Err()
+	}
+	if len(buf) != len(dc.buf) {
+		return snapErrf("decompression buffer length %d, want %d", len(buf), len(dc.buf))
+	}
+	copy(dc.buf[:], buf)
+	return nil
+}
+
+func (t *snapTables) saveDP(w *snapshot.Writer, dp *decompPlain) {
+	w.U64(dp.ln)
+	t.saveCont(w, dp.done)
+}
+
+func (t *snapTables) restoreDP(r *snapshot.Reader, dp *decompPlain) (err error) {
+	dp.ln = r.U64()
+	dp.done, err = t.restoreCont(r)
+	return err
+}
+
+// A memoCtx always carries its parent warp and superop.
+func (t *snapTables) saveMemo(w *snapshot.Writer, mc *memoCtx) {
+	t.saveWarp(w, mc.w)
+	w.Int(int(mc.sop.PC))
+}
+
+func (t *snapTables) restoreMemo(r *snapshot.Reader, mc *memoCtx) (err error) {
+	if mc.w, err = t.restoreWarp(r); err != nil {
+		return err
+	}
+	if mc.w == nil {
+		return snapErrf("memoCtx without a parent warp")
+	}
+	mc.sop, err = t.kernelSop(r.Int())
+	return err
 }
 
 // encAction encodes a queued event action (GPU kinds inline, memory kinds
 // via the memory system's codec).
-func (t *objTables) encAction(sim *Simulator) func(*snapshot.Writer, timing.Action) error {
-	return func(w *snapshot.Writer, act timing.Action) error {
-		switch a := act.(type) {
-		case timing.Nop:
-			w.U8(akNop)
-		case actHWCompress:
-			w.U8(akHWCompress)
-			w.Int(a.sm.id)
-			return t.encStore(w, a.se)
-		case actCompleteFill:
-			w.U8(akCompleteFill)
-			w.Int(a.sm.id)
-			w.U64(a.ln)
-			return t.encFill(w, a.fill)
-		case actHWDetect:
-			w.U8(akHWDetect)
-			w.Int(a.sm.id)
-			w.U64(a.ln)
-			return t.encFill(w, a.fill)
-		default:
-			if timing.IsOpaque(act) {
-				return snapErrf("opaque closure event on the queue (cannot checkpoint)")
-			}
-			w.U8(akMem)
-			return sim.Sys.EncodeAction(w, act, t.encUser)
+func (t *snapTables) encAction(w *snapshot.Writer, act timing.Action) error {
+	switch a := act.(type) {
+	case timing.Nop:
+		w.U8(akNop)
+	case actHWCompress:
+		w.U8(akHWCompress)
+		w.Int(a.sm.id)
+		t.stores.ref(w, a.se)
+	case actCompleteFill:
+		w.U8(akCompleteFill)
+		w.Int(a.sm.id)
+		w.U64(a.ln)
+		t.fills.ref(w, a.fill)
+	case actHWDetect:
+		w.U8(akHWDetect)
+		w.Int(a.sm.id)
+		w.U64(a.ln)
+		t.fills.ref(w, a.fill)
+	default:
+		if timing.IsOpaque(act) {
+			return snapErrf("opaque closure event on the queue (cannot checkpoint)")
 		}
-		return nil
+		w.U8(akMem)
+		return t.sim.Sys.EncodeAction(w, act, t.encUser)
 	}
+	return nil
 }
 
-// saveComp / loadComp serialize a compressed-line value.
-func saveComp(w *snapshot.Writer, c compress.Compressed) {
-	w.U64(uint64(c.Alg))
-	w.U8(c.Enc)
-	w.Bytes(c.Data)
-}
-
-func loadComp(r *snapshot.Reader) compress.Compressed {
-	var c compress.Compressed
-	c.Alg = compress.AlgID(r.U64())
-	c.Enc = r.U8()
-	if b := r.Bytes(maxGPUSnapLen); len(b) > 0 {
-		c.Data = append([]byte(nil), b...)
+// decAction decodes a queued event action.
+func (t *snapTables) decAction(r *snapshot.Reader) (timing.Action, error) {
+	smFor := func() (*SM, error) {
+		i := r.Int()
+		if r.Err() != nil {
+			return nil, r.Err()
+		}
+		if i < 0 || i >= len(t.sim.sms) {
+			return nil, snapErrf("SM index %d out of range", i)
+		}
+		return t.sim.sms[i], nil
 	}
-	return c
+	switch kind := r.U8(); kind {
+	case akNop:
+		return timing.Nop{}, r.Err()
+	case akMem:
+		return t.sim.Sys.DecodeAction(r, t.decUser)
+	case akHWCompress:
+		sm, err := smFor()
+		if err != nil {
+			return nil, err
+		}
+		se, err := t.stores.get(r)
+		if err != nil {
+			return nil, err
+		}
+		return actHWCompress{sm: sm, se: se}, nil
+	case akCompleteFill, akHWDetect:
+		sm, err := smFor()
+		if err != nil {
+			return nil, err
+		}
+		ln := r.U64()
+		fc, err := t.fills.get(r)
+		if err != nil {
+			return nil, err
+		}
+		if kind == akHWDetect {
+			return actHWDetect{sm: sm, ln: ln, fill: fc}, nil
+		}
+		return actCompleteFill{sm: sm, ln: ln, fill: fc}, nil
+	default:
+		return nil, snapErrf("event action kind %d out of range", kind)
+	}
 }
 
 // configHash binds a snapshot to the run it came from: configuration,
@@ -435,6 +528,8 @@ func (sim *Simulator) configHash() (uint64, error) {
 // Run's checkpoint hook satisfies this; callers between Run invocations
 // (a finished or interrupted sim) do too, provided no SM has failed.
 func (sim *Simulator) SaveState() ([]byte, error) {
+	t := newSnapTables(sim)
+	t.warpSM = make(map[*warpCtx]int)
 	for _, sm := range sim.sms {
 		if !sm.outbox.Empty() || !sm.wbuf.Empty() || sm.wantDispatch {
 			return nil, fmt.Errorf("gpu: snapshot at cycle %d: SM %d has uncommitted staged state", sim.cycle, sm.id)
@@ -442,130 +537,34 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 		if sm.fatal != nil {
 			return nil, fmt.Errorf("gpu: snapshot at cycle %d: SM %d has a fatal error: %w", sim.cycle, sm.id, sm.fatal)
 		}
-	}
-	now, seq, evs := sim.Q.Snapshot()
-	t, err := sim.collect(evs)
-	if err != nil {
-		return nil, err
-	}
-	w := &snapshot.Writer{}
-
-	// Simulator scalars and statistics.
-	w.U64(sim.cycle)
-	w.Int(sim.nextCTA)
-	w.Int(sim.idleStreak)
-	w.U64(sim.ffSkips)
-	w.U64(sim.ffCycles)
-	if err := snapshot.EncodePlain(w, *sim.S); err != nil {
-		return nil, err
+		for _, wp := range sm.warps {
+			t.warpSM[wp] = sm.id
+		}
 	}
 
-	// Backing memory and compression domain.
-	sim.Mem.Save(w)
-	sim.Dom.Save(w)
-
-	// Object tables: counts, then payloads in index order. Registration
-	// is closed under reference-following, so payload encoding never
-	// encounters an unregistered object.
-	w.Len(len(t.loads))
-	w.Len(len(t.stores))
-	w.Len(len(t.fills))
-	w.Len(len(t.dcs))
-	w.Len(len(t.dps))
-	w.Len(len(t.memos))
-	for _, q := range t.loads {
-		if q.warp == nil {
-			w.Int(-1)
-			w.Int(-1)
-		} else {
-			w.Int(t.warpSM[q.warp])
-			w.Int(q.warp.id)
-		}
-		// Superops are interned per program: encode the PC and re-resolve
-		// against the kernel's decoded program on load.
-		if q.sop != nil {
-			w.Bool(true)
-			w.Int(int(q.sop.PC))
-		} else {
-			w.Bool(false)
-		}
-		w.Int(q.linesPending)
-		w.U64(q.issued)
-		w.Len(len(q.todo))
-		for _, ln := range q.todo {
-			w.U64(ln)
-		}
-	}
-	for _, se := range t.stores {
-		w.U64(se.lineAddr)
-		w.U32(se.coverage)
-		w.Int(se.warp)
-		w.U64(se.lastTouch)
-		w.U8(uint8(se.state))
-		w.Len(len(se.chain))
-		for _, id := range se.chain {
-			w.U64(uint64(id))
-		}
-		w.Int(se.chainPos)
-		w.U64(uint64(se.alg))
-		w.Bool(se.released)
-	}
-	for _, fc := range t.fills {
-		w.U8(uint8(fc.kind))
-		if err := t.encLoad(w, fc.load); err != nil {
-			return nil, err
-		}
-		if err := t.encStore(w, fc.se); err != nil {
-			return nil, err
-		}
-		if err := t.encCont(w, fc.after); err != nil {
-			return nil, err
-		}
-	}
-	for _, dc := range t.dcs {
-		w.U64(dc.ln)
-		w.Int(dc.warp)
-		w.Bool(dc.injected)
-		if err := t.encCont(w, dc.done); err != nil {
-			return nil, err
-		}
-		w.Bytes(dc.buf[:])
-	}
-	for _, dp := range t.dps {
-		w.U64(dp.ln)
-		if err := t.encCont(w, dp.done); err != nil {
-			return nil, err
-		}
-	}
-	for _, mc := range t.memos {
-		// The parent warp encodes as (sm, slot) and the superop as its PC,
-		// like loadReq; a memoCtx always carries both.
-		w.Int(t.warpSM[mc.w])
-		w.Int(mc.w.id)
-		w.Int(int(mc.sop.PC))
-	}
-
-	// Memory system (caches, MSHRs, DRAM timing, injector streams).
-	if err := sim.Sys.SaveState(w, t.encAction(sim), t.encUser); err != nil {
+	// Body, interning pending-work objects as it goes. Memory system
+	// (caches, MSHRs, DRAM timing, injector streams):
+	body := &snapshot.Writer{}
+	if err := sim.Sys.SaveState(body, t.encAction, t.encUser); err != nil {
 		return nil, err
 	}
 
 	// Event queue.
-	w.F64(now)
-	w.U64(seq)
-	w.Len(len(evs))
-	enc := t.encAction(sim)
+	now, seq, evs := sim.Q.Snapshot()
+	body.F64(now)
+	body.U64(seq)
+	body.Len(len(evs))
 	for _, ev := range evs {
-		w.F64(ev.Time)
-		w.U64(ev.Seq)
-		if err := enc(w, ev.Act); err != nil {
+		body.F64(ev.Time)
+		body.U64(ev.Seq)
+		if err := t.encAction(body, ev.Act); err != nil {
 			return nil, err
 		}
 	}
 
 	// Per-SM sections.
 	for _, sm := range sim.sms {
-		if err := sm.save(w, t); err != nil {
+		if err := sm.save(body, t); err != nil {
 			return nil, err
 		}
 	}
@@ -579,13 +578,48 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 	// deliberately absent — a resumed run re-opens spans for live
 	// entities and its trace covers restore→end.
 	if sim.smp != nil {
-		sim.smp.save(w)
+		sim.smp.save(body)
 	}
 	if sim.Cfg.AttributeStalls {
 		for _, sm := range sim.sms {
-			sm.attr.Save(w)
+			sm.attr.Save(body)
 		}
 	}
+
+	// Payload records of every interned object; a payload may reference
+	// objects the body never did, so repeat until no table grows.
+	recs := &snapshot.Writer{}
+	for grew := true; grew; {
+		grew = t.loads.flush(recs, t.saveLoad)
+		grew = t.stores.flush(recs, t.saveStore) || grew
+		grew = t.fills.flush(recs, t.saveFill) || grew
+		grew = t.dcs.flush(recs, t.saveDC) || grew
+		grew = t.dps.flush(recs, t.saveDP) || grew
+		grew = t.memos.flush(recs, t.saveMemo) || grew
+	}
+
+	// Simulator scalars and statistics (the cycle counter first:
+	// SnapshotCycle reads it), backing memory, compression domain, then
+	// the table counts, the payload records and the body.
+	w := &snapshot.Writer{}
+	w.U64(sim.cycle)
+	w.Int(sim.nextCTA)
+	w.Int(sim.idleStreak)
+	w.U64(sim.ffSkips)
+	w.U64(sim.ffCycles)
+	if err := snapshot.EncodePlain(w, *sim.S); err != nil {
+		return nil, err
+	}
+	sim.Mem.Save(w)
+	sim.Dom.Save(w)
+	w.Len(len(t.loads.objs))
+	w.Len(len(t.stores.objs))
+	w.Len(len(t.fills.objs))
+	w.Len(len(t.dcs.objs))
+	w.Len(len(t.dps.objs))
+	w.Len(len(t.memos.objs))
+	w.Raw(recs.Payload())
+	w.Raw(body.Payload())
 
 	hash, err := sim.configHash()
 	if err != nil {
@@ -595,7 +629,7 @@ func (sim *Simulator) SaveState() ([]byte, error) {
 }
 
 // save serializes one SM.
-func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
+func (sm *SM) save(w *snapshot.Writer, t *snapTables) error {
 	// Scalars.
 	w.U64(sm.sfuFree)
 	w.U64(sm.lsuFree)
@@ -649,9 +683,7 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 		w.U8(p)
 		w.Int(wp.inFlight)
 		w.Int(wp.pendingLoads)
-		if err := t.encLoad(w, wp.replay); err != nil {
-			return err
-		}
+		t.loads.ref(w, wp.replay)
 		w.U64(wp.lastIssueCycle)
 		wp.exec.Save(w, false)
 	}
@@ -704,9 +736,7 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 			} else {
 				w.Int(-1)
 			}
-			if err := t.encLoad(w, rec.req); err != nil {
-				return err
-			}
+			t.loads.ref(w, rec.req)
 		}
 	}
 
@@ -715,233 +745,26 @@ func (sm *SM) save(w *snapshot.Writer, t *objTables) error {
 	for i := range sm.decompRetry {
 		pt := &sm.decompRetry[i]
 		w.U8(uint8(pt.kind))
-		if err := t.encStore(w, pt.se); err != nil {
-			return err
-		}
+		t.stores.ref(w, pt.se)
 		w.U64(pt.ln)
-		saveComp(w, pt.st)
+		mem.SaveCompressed(w, pt.st)
 		w.Int(pt.warp)
-		if err := t.encCont(w, pt.done); err != nil {
-			return err
-		}
-		if err := t.encDC(w, pt.dc); err != nil {
-			return err
-		}
+		t.saveCont(w, pt.done)
+		t.dcs.ref(w, pt.dc)
 	}
 	w.Len(len(sm.replayQ))
 	for _, q := range sm.replayQ {
-		if err := t.encLoad(w, q); err != nil {
-			return err
-		}
+		t.loads.ref(w, q)
 	}
 	w.Len(len(sm.storeBuf))
 	for _, se := range sm.storeBuf {
-		if err := t.encStore(w, se); err != nil {
-			return err
-		}
+		t.stores.ref(w, se)
 	}
 
 	// Use-case hardware (layout gated by the hashed Design, so saver and
 	// loader always agree on which sub-sections are present).
 	sm.saveUseCases(w)
 	return nil
-}
-
-// decTables is the decode side of the object tables: pre-allocated
-// objects, filled in index order.
-type decTables struct {
-	loads  []*loadReq
-	stores []*storeEntry
-	fills  []*fillCtx
-	dcs    []*decompCtx
-	dps    []*decompPlain
-	memos  []*memoCtx
-}
-
-func (t *decTables) decLoad(r *snapshot.Reader) (*loadReq, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.loads) {
-		return nil, snapErrf("loadReq reference %d out of range", i)
-	}
-	return t.loads[i], nil
-}
-
-func (t *decTables) decStore(r *snapshot.Reader) (*storeEntry, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.stores) {
-		return nil, snapErrf("storeEntry reference %d out of range", i)
-	}
-	return t.stores[i], nil
-}
-
-func (t *decTables) decFill(r *snapshot.Reader) (*fillCtx, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.fills) {
-		return nil, snapErrf("fillCtx reference %d out of range", i)
-	}
-	return t.fills[i], nil
-}
-
-func (t *decTables) decDC(r *snapshot.Reader) (*decompCtx, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.dcs) {
-		return nil, snapErrf("decompCtx reference %d out of range", i)
-	}
-	return t.dcs[i], nil
-}
-
-func (t *decTables) decDP(r *snapshot.Reader) (*decompPlain, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.dps) {
-		return nil, snapErrf("decompPlain reference %d out of range", i)
-	}
-	return t.dps[i], nil
-}
-
-func (t *decTables) decMemo(r *snapshot.Reader) (*memoCtx, error) {
-	i := r.Int()
-	if i == -1 || r.Err() != nil {
-		return nil, r.Err()
-	}
-	if i < 0 || i >= len(t.memos) {
-		return nil, snapErrf("memoCtx reference %d out of range", i)
-	}
-	return t.memos[i], nil
-}
-
-func (t *decTables) decCont(r *snapshot.Reader) (cont, error) {
-	var c cont
-	k := r.U8()
-	if k > uint8(contLoadLineDone) {
-		return c, snapErrf("continuation kind %d out of range", k)
-	}
-	c.kind = contKind(k)
-	c.ln = r.U64()
-	var err error
-	if c.fill, err = t.decFill(r); err != nil {
-		return c, err
-	}
-	c.req, err = t.decLoad(r)
-	return c, err
-}
-
-// decUser decodes a tagged pending-work reference.
-func (t *decTables) decUser(r *snapshot.Reader) (any, error) {
-	switch tag := r.U8(); tag {
-	case refNil:
-		return nil, r.Err()
-	case refFill:
-		fc, err := t.decFill(r)
-		if err != nil {
-			return nil, err
-		}
-		return fc, nil
-	case refLoad:
-		q, err := t.decLoad(r)
-		if err != nil {
-			return nil, err
-		}
-		// A nil reference under the loadReq tag is the MSHR's typed-nil
-		// assist-prefetch waiter, restored as such.
-		return q, nil
-	case refStore:
-		se, err := t.decStore(r)
-		if err != nil {
-			return nil, err
-		}
-		return se, nil
-	case refDecompCtx:
-		dc, err := t.decDC(r)
-		if err != nil {
-			return nil, err
-		}
-		return dc, nil
-	case refDecompPlain:
-		dp, err := t.decDP(r)
-		if err != nil {
-			return nil, err
-		}
-		return dp, nil
-	case refMemo:
-		mc, err := t.decMemo(r)
-		if err != nil {
-			return nil, err
-		}
-		return mc, nil
-	default:
-		return nil, snapErrf("pending-work reference tag %d out of range", tag)
-	}
-}
-
-// decAction decodes a queued event action.
-func (t *decTables) decAction(sim *Simulator) func(*snapshot.Reader) (timing.Action, error) {
-	return func(r *snapshot.Reader) (timing.Action, error) {
-		smFor := func() (*SM, error) {
-			i := r.Int()
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if i < 0 || i >= len(sim.sms) {
-				return nil, snapErrf("SM index %d out of range", i)
-			}
-			return sim.sms[i], nil
-		}
-		switch kind := r.U8(); kind {
-		case akNop:
-			return timing.Nop{}, r.Err()
-		case akMem:
-			return sim.Sys.DecodeAction(r, t.decUser)
-		case akHWCompress:
-			sm, err := smFor()
-			if err != nil {
-				return nil, err
-			}
-			se, err := t.decStore(r)
-			if err != nil {
-				return nil, err
-			}
-			return actHWCompress{sm: sm, se: se}, nil
-		case akCompleteFill:
-			sm, err := smFor()
-			if err != nil {
-				return nil, err
-			}
-			ln := r.U64()
-			fc, err := t.decFill(r)
-			if err != nil {
-				return nil, err
-			}
-			return actCompleteFill{sm: sm, ln: ln, fill: fc}, nil
-		case akHWDetect:
-			sm, err := smFor()
-			if err != nil {
-				return nil, err
-			}
-			ln := r.U64()
-			fc, err := t.decFill(r)
-			if err != nil {
-				return nil, err
-			}
-			return actHWDetect{sm: sm, ln: ln, fill: fc}, nil
-		default:
-			return nil, snapErrf("event action kind %d out of range", kind)
-		}
-	}
 }
 
 // SnapshotCycle reads the simulated cycle a checkpoint blob was taken at
@@ -1009,148 +832,46 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 		return err
 	}
 
-	// Object tables: allocate, then fill payloads.
-	t := &decTables{}
-	nLoads := r.Len(maxGPUSnapLen)
-	nStores := r.Len(maxGPUSnapLen)
-	nFills := r.Len(maxGPUSnapLen)
-	nDCs := r.Len(maxGPUSnapLen)
-	nDPs := r.Len(maxGPUSnapLen)
-	nMemos := r.Len(maxGPUSnapLen)
-	if r.Err() != nil {
-		return r.Err()
-	}
-	t.loads = make([]*loadReq, nLoads)
-	for i := range t.loads {
-		t.loads[i] = &loadReq{}
-	}
-	t.stores = make([]*storeEntry, nStores)
-	for i := range t.stores {
-		t.stores[i] = &storeEntry{}
-	}
-	t.fills = make([]*fillCtx, nFills)
-	for i := range t.fills {
-		t.fills[i] = &fillCtx{}
-	}
-	t.dcs = make([]*decompCtx, nDCs)
-	for i := range t.dcs {
-		t.dcs[i] = &decompCtx{}
-	}
-	t.dps = make([]*decompPlain, nDPs)
-	for i := range t.dps {
-		t.dps[i] = &decompPlain{}
-	}
-	t.memos = make([]*memoCtx, nMemos)
-	for i := range t.memos {
-		t.memos[i] = &memoCtx{}
-	}
-	for _, q := range t.loads {
-		smIdx, wid := r.Int(), r.Int()
-		if smIdx >= 0 {
-			if smIdx >= len(sim.sms) || wid < 0 || wid >= len(sim.sms[smIdx].warps) {
-				return snapErrf("loadReq warp reference out of range")
-			}
-			q.warp = sim.sms[smIdx].warps[wid]
-		}
-		if r.Bool() {
-			pc := r.Int()
-			ops := sim.Kernel.Prog.Decoded().Ops
-			if pc < 0 || pc >= len(ops) {
-				return snapErrf("loadReq pc %d out of range", pc)
-			}
-			q.sop = &ops[pc]
-		}
-		q.linesPending = r.Int()
-		q.issued = r.U64()
+	// Object tables: allocate, then fill every payload before any body
+	// decoder can see an object.
+	t := newSnapTables(sim)
+	total := 0
+	for _, alloc := range []func(int){t.loads.alloc, t.stores.alloc, t.fills.alloc, t.dcs.alloc, t.dps.alloc, t.memos.alloc} {
 		n := r.Len(maxGPUSnapLen)
 		if r.Err() != nil {
 			return r.Err()
 		}
-		for i := 0; i < n; i++ {
-			q.todo = append(q.todo, r.U64())
-		}
+		alloc(n)
+		total += n
 	}
-	for _, se := range t.stores {
-		se.lineAddr = r.U64()
-		se.coverage = r.U32()
-		se.warp = r.Int()
-		se.lastTouch = r.U64()
-		st := r.U8()
-		if st > uint8(sbQueued) {
-			return snapErrf("store-buffer state %d out of range", st)
+	for ; total > 0; total-- {
+		var err error
+		switch tag := r.U8(); tag {
+		case refLoad:
+			err = t.loads.fill(r, t.restoreLoad)
+		case refStore:
+			err = t.stores.fill(r, t.restoreStore)
+		case refFill:
+			err = t.fills.fill(r, t.restoreFill)
+		case refDecompCtx:
+			err = t.dcs.fill(r, t.restoreDC)
+		case refDecompPlain:
+			err = t.dps.fill(r, t.restoreDP)
+		case refMemo:
+			err = t.memos.fill(r, t.restoreMemo)
+		default:
+			err = snapErrf("payload record tag %d out of range", tag)
 		}
-		se.state = storeState(st)
-		n := r.Len(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
+		if err == nil {
+			err = r.Err()
 		}
-		for i := 0; i < n; i++ {
-			se.chain = append(se.chain, core.RoutineID(r.U64()))
-		}
-		se.chainPos = r.Int()
-		se.alg = compress.AlgID(r.U64())
-		se.released = r.Bool()
-		if se.chainPos < 0 || (len(se.chain) > 0 && se.chainPos > len(se.chain)) {
-			return snapErrf("compression chain position out of range")
-		}
-	}
-	for _, fc := range t.fills {
-		k := r.U8()
-		if k > uint8(fillRefetch) {
-			return snapErrf("fill kind %d out of range", k)
-		}
-		fc.kind = fillKind(k)
-		if fc.load, err = t.decLoad(r); err != nil {
+		if err != nil {
 			return err
 		}
-		if fc.se, err = t.decStore(r); err != nil {
-			return err
-		}
-		if fc.after, err = t.decCont(r); err != nil {
-			return err
-		}
-	}
-	for _, dc := range t.dcs {
-		dc.ln = r.U64()
-		dc.warp = r.Int()
-		dc.injected = r.Bool()
-		if dc.done, err = t.decCont(r); err != nil {
-			return err
-		}
-		buf := r.Bytes(maxGPUSnapLen)
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if len(buf) != len(dc.buf) {
-			return snapErrf("decompression buffer length %d, want %d", len(buf), len(dc.buf))
-		}
-		copy(dc.buf[:], buf)
-	}
-	for _, dp := range t.dps {
-		dp.ln = r.U64()
-		if dp.done, err = t.decCont(r); err != nil {
-			return err
-		}
-	}
-	for _, mc := range t.memos {
-		smIdx, wid := r.Int(), r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if smIdx < 0 || smIdx >= len(sim.sms) || wid < 0 || wid >= len(sim.sms[smIdx].warps) {
-			return snapErrf("memoCtx warp reference out of range")
-		}
-		mc.w = sim.sms[smIdx].warps[wid]
-		pc := r.Int()
-		ops := sim.Kernel.Prog.Decoded().Ops
-		if pc < 0 || pc >= len(ops) {
-			return snapErrf("memoCtx pc %d out of range", pc)
-		}
-		mc.sop = &ops[pc]
 	}
 
 	// Memory system.
-	if err := sim.Sys.LoadState(r, t.decAction(sim), t.decUser); err != nil {
+	if err := sim.Sys.LoadState(r, t.decAction, t.decUser); err != nil {
 		return err
 	}
 
@@ -1161,13 +882,12 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	dec := t.decAction(sim)
 	evs := make([]timing.Event, 0, n)
 	for i := 0; i < n; i++ {
 		var ev timing.Event
 		ev.Time = r.F64()
 		ev.Seq = r.U64()
-		if ev.Act, err = dec(r); err != nil {
+		if ev.Act, err = t.decAction(r); err != nil {
 			return err
 		}
 		evs = append(evs, ev)
@@ -1209,7 +929,7 @@ func (sim *Simulator) LoadState(blob []byte) (err error) {
 }
 
 // load restores one SM from its snapshot section.
-func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
+func (sm *SM) load(r *snapshot.Reader, t *snapTables) error {
 	k := sm.sim.Kernel
 
 	// Scalars.
@@ -1294,7 +1014,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		wp.inFlight = r.Int()
 		wp.pendingLoads = r.Int()
 		var err error
-		if wp.replay, err = t.decLoad(r); err != nil {
+		if wp.replay, err = t.loads.get(r); err != nil {
 			return err
 		}
 		wp.lastIssueCycle = r.U64()
@@ -1389,7 +1109,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 				rec.sop = &ops[pc]
 			}
 			var err error
-			if rec.req, err = t.decLoad(r); err != nil {
+			if rec.req, err = t.loads.get(r); err != nil {
 				return err
 			}
 			sm.wbRing[i] = append(sm.wbRing[i], rec)
@@ -1411,16 +1131,16 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 		}
 		pt.kind = pendingKind(kind)
 		var err error
-		if pt.se, err = t.decStore(r); err != nil {
+		if pt.se, err = t.stores.get(r); err != nil {
 			return err
 		}
 		pt.ln = r.U64()
-		pt.st = loadComp(r)
+		pt.st = mem.LoadCompressed(r)
 		pt.warp = r.Int()
-		if pt.done, err = t.decCont(r); err != nil {
+		if pt.done, err = t.restoreCont(r); err != nil {
 			return err
 		}
-		if pt.dc, err = t.decDC(r); err != nil {
+		if pt.dc, err = t.dcs.get(r); err != nil {
 			return err
 		}
 		sm.decompRetry = append(sm.decompRetry, pt)
@@ -1431,7 +1151,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	}
 	sm.replayQ = sm.replayQ[:0]
 	for i := 0; i < nReplay; i++ {
-		q, err := t.decLoad(r)
+		q, err := t.loads.get(r)
 		if err != nil {
 			return err
 		}
@@ -1446,7 +1166,7 @@ func (sm *SM) load(r *snapshot.Reader, t *decTables) error {
 	}
 	sm.storeBuf = sm.storeBuf[:0]
 	for i := 0; i < nStore; i++ {
-		se, err := t.decStore(r)
+		se, err := t.stores.get(r)
 		if err != nil {
 			return err
 		}

@@ -16,7 +16,7 @@ import (
 // Domain writes ride in the same ordered stream as crossbar ops because
 // WriteLine's flit count reads the line's compression state at send time:
 // a staged SetCompressed must land before the staged WriteLine that
-// follows it, exactly as the direct calls interleave on the serial path.
+// follows it, in the order the SM issued them.
 // StagedState gives the owning SM read-through to its own not-yet-
 // committed Domain writes within the tick.
 type Outbox struct {
@@ -105,9 +105,9 @@ func (ob *Outbox) StagedState(line uint64) (compress.Compressed, bool) {
 // CommitOutbox replays one SM's staged operations, in the order the SM
 // issued them, into the live crossbar/Domain/event queue. The simulator
 // calls it at the cycle barrier in ascending SM-index order; that fixed
-// order is the crossbar's port-arbitration order, and it reproduces the
-// serial tick schedule exactly (SM i's tick ran, and hence sent, before
-// SM i+1's), which is what makes the parallel tick bit-identical.
+// order is the crossbar's port-arbitration order. Because every SM's
+// operations land only here, no SM sees another's same-cycle effects,
+// and the result does not depend on how phase A was scheduled.
 func (sys *System) CommitOutbox(ob *Outbox) {
 	for i := range ob.ops {
 		op := &ob.ops[i]

@@ -168,15 +168,15 @@ func (m *Memory) Load(r *snapshot.Reader) error {
 
 // --- Domain ---
 
-// saveCompressed encodes one compression state by value.
-func saveCompressed(w *snapshot.Writer, c compress.Compressed) {
+// SaveCompressed encodes one compression state by value.
+func SaveCompressed(w *snapshot.Writer, c compress.Compressed) {
 	w.U64(uint64(c.Alg))
 	w.U8(c.Enc)
 	w.Bytes(c.Data)
 }
 
-// loadCompressed decodes one compression state.
-func loadCompressed(r *snapshot.Reader) compress.Compressed {
+// LoadCompressed decodes one compression state.
+func LoadCompressed(r *snapshot.Reader) compress.Compressed {
 	return compress.Compressed{
 		Alg:  compress.AlgID(r.U64()),
 		Enc:  r.U8(),
@@ -195,7 +195,7 @@ func (d *Domain) Save(w *snapshot.Writer) {
 	w.Len(len(lns))
 	for _, ln := range lns {
 		w.U64(ln)
-		saveCompressed(w, d.lines[ln])
+		SaveCompressed(w, d.lines[ln])
 	}
 }
 
@@ -205,7 +205,7 @@ func (d *Domain) Load(r *snapshot.Reader) error {
 	n := r.Len(maxMemSnapLen)
 	for i := 0; i < n; i++ {
 		ln := r.U64()
-		d.lines[ln] = loadCompressed(r)
+		d.lines[ln] = LoadCompressed(r)
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -311,50 +311,6 @@ func (ch *Channel) load(r *snapshot.Reader, decAction func(*snapshot.Reader) (ti
 
 // --- System ---
 
-// VisitActionUsers calls f on the opaque user payload carried by a memory
-// action, if any. It reports whether act is one of this package's action
-// types (timing.Nop counts as recognized: the channel schedules it for
-// fire-and-forget writes).
-func (sys *System) VisitActionUsers(act timing.Action, f func(user any)) bool {
-	switch a := act.(type) {
-	case actArriveRead:
-		f(a.user)
-	case actReadL2:
-		f(a.user)
-	case actArriveReadRaw:
-		f(a.user)
-	case actReadRawL2:
-		f(a.user)
-	case actRespondRaw:
-		f(a.user)
-	case actRespSend:
-		f(a.user)
-	case actFill:
-		f(a.user)
-	case actArriveWrite, actWriteL2, actFillDRAM, actDeliverFill, actWBIssue, actServe, timing.Nop:
-	default:
-		return false
-	}
-	return true
-}
-
-// VisitUsers walks every opaque user payload held inside the memory
-// system (L2 MSHR waiters and DRAM queue completion actions) in a
-// deterministic order, so the GPU core can register its payload objects
-// before encoding.
-func (sys *System) VisitUsers(f func(user any)) {
-	for _, p := range sys.parts {
-		for _, ln := range p.mshr.Lines() {
-			for _, wt := range p.mshr.Waiters(ln) {
-				f(wt.(readWaiter).user)
-			}
-		}
-		for _, rq := range p.ch.queue {
-			sys.VisitActionUsers(rq.done, f)
-		}
-	}
-}
-
 // Memory-action sub-kind tags (EncodeAction/DecodeAction).
 const (
 	mkArriveRead uint8 = iota
@@ -424,7 +380,7 @@ func (sys *System) EncodeAction(w *snapshot.Writer, act timing.Action, encUser f
 		w.Int(a.ch.id)
 		return nil
 	default:
-		return memErrf("not a memory action")
+		return memErrf(fmt.Sprintf("unserializable event action %T", act))
 	}
 }
 

@@ -16,9 +16,12 @@ import (
 // atomic becomes visible to other SMs at the end of the cycle it issued
 // in, while the issuing SM reads its own staged writes through the buffer
 // immediately (stores from one warp are visible to the SM's other warps
-// and to its store-buffer compression reads within the same tick, as on
-// the serial path). The same staging runs at every SMWorkers setting, so
-// serial and parallel execution are bit-identical by construction.
+// and to its store-buffer compression reads within the same tick). This
+// is the model's definition, not an emulation of a serial loop that
+// writes memory mid-tick: that loop lets SM i+1 see SM i's same-cycle
+// stores, and it computes different results (DESIGN.md §8). The same
+// staging runs at every SMWorkers setting, so serial and parallel
+// execution are bit-identical by construction.
 //
 // Atomic adds are staged as deltas so concurrent-cycle updates from many
 // SMs to one address (e.g. a shared histogram bucket) all land: each SM's
@@ -27,8 +30,8 @@ import (
 // SM's own pending deltas. When the target bytes already carry a staged
 // plain store, the atomic degrades to a plain store of (visible value +
 // delta), preserving program order within the SM. Flush applies deltas
-// first, then plain stores, which resolves every same-cycle interleaving
-// to the same final bytes as the serial schedule.
+// first, then plain stores: a store staged after a delta on the same
+// bytes wins, and deltas from every SM land on the committed value.
 type WriteBuffer struct {
 	mem *Memory
 

@@ -16,8 +16,10 @@ import (
 )
 
 // Version is the current snapshot format version. Bump on any encoding
-// change; Open rejects blobs from other versions.
-const Version uint32 = 1
+// change; Open rejects blobs from other versions. Version 2 numbers the
+// simulator's pending-work objects in first-reference order (one-pass
+// interning) instead of a separate registration walk's order.
+const Version uint32 = 2
 
 // magic identifies a snapshot blob ("CABASNAP").
 const magic uint64 = 0x43414241534e4150
@@ -91,6 +93,9 @@ func (w *Writer) String(s string) {
 	w.Len(len(s))
 	w.buf = append(w.buf, s...)
 }
+
+// Raw appends b verbatim (e.g. a section assembled in another Writer).
+func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
 // Payload returns the accumulated bytes.
 func (w *Writer) Payload() []byte { return w.buf }
