@@ -90,3 +90,42 @@ func TestZeroFaultGolden(t *testing.T) {
 		}
 	}
 }
+
+// ffPins records the fast-forward engine's clock jumps (Result.FFSkips)
+// and the cycles they covered (Result.FFCycles) for every goldenRuns row
+// plus the two use-case showcase cells. The zero-fault golden holds Stats
+// only, and a changed quiescence verdict that stays sound leaves Stats
+// untouched; these counters are what moves.
+var ffPins = []struct {
+	App            string
+	Design         caba.Design
+	Skips, Skipped uint64
+}{
+	{"PVC", caba.Base, 0, 0},
+	{"PVC", caba.CABABDI, 0, 0},
+	{"bh", caba.CABABDI, 6, 58},
+	{"STRD", caba.CABAPrefetch, 142, 447},
+	{"TBL", caba.CABAMemo, 34, 231},
+}
+
+// TestFastForwardCounterPins asserts ffPins at the golden configuration.
+func TestFastForwardCounterPins(t *testing.T) {
+	if len(ffPins) != len(goldenRuns)+2 {
+		t.Fatalf("ffPins has %d rows, want one per goldenRuns row plus STRD and TBL", len(ffPins))
+	}
+	for i, g := range goldenRuns {
+		if p := ffPins[i]; p.App != g.App || p.Design.Name != g.Design.Name {
+			t.Fatalf("ffPins[%d] is %s/%s, want goldenRuns row %s/%s", i, p.App, p.Design.Name, g.App, g.Design.Name)
+		}
+	}
+	for _, p := range ffPins {
+		res, err := caba.Run(goldenConfig(), p.Design, p.App, 1)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", p.App, p.Design.Name, err)
+		}
+		if res.FFSkips != p.Skips || res.FFCycles != p.Skipped {
+			t.Errorf("%s/%s: fast-forward FFSkips/FFCycles = %d/%d, pinned %d/%d",
+				p.App, p.Design.Name, res.FFSkips, res.FFCycles, p.Skips, p.Skipped)
+		}
+	}
+}
