@@ -647,7 +647,7 @@ func Table1(o Options) {
 	out := o.out()
 	fmt.Fprintf(out, "Table 1: major parameters of the simulated system\n")
 	fmt.Fprintf(out, "System Overview    %d SMs, %d threads/warp, %d memory channels\n", cfg.NumSMs, cfg.WarpSize, cfg.NumChannels)
-	fmt.Fprintf(out, "Shader Core        %dMHz, %v scheduler, %d schedulers/SM\n", cfg.CoreClockMHz, cfg.Scheduler, cfg.NumSchedulers)
+	fmt.Fprintf(out, "Shader Core        %dMHz, GTO scheduler, %d schedulers/SM\n", cfg.CoreClockMHz, cfg.NumSchedulers)
 	fmt.Fprintf(out, "Resources / SM     %d warps/SM, %d registers, %dKB shared memory\n", cfg.MaxWarpsPerSM, cfg.RegFilePerSM, cfg.SharedMemPerSM>>10)
 	fmt.Fprintf(out, "L1 Cache           %dKB, %d-way\n", cfg.L1Size>>10, cfg.L1Assoc)
 	fmt.Fprintf(out, "L2 Cache           %dKB, %d-way\n", cfg.L2Size>>10, cfg.L2Assoc)

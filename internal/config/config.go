@@ -9,23 +9,6 @@ import (
 	"github.com/caba-sim/caba/internal/faults"
 )
 
-// SchedPolicy selects the warp scheduling policy.
-type SchedPolicy uint8
-
-// Warp scheduler policies.
-const (
-	SchedGTO SchedPolicy = iota // greedy-then-oldest (baseline, Table 1)
-	SchedLRR                    // loose round-robin
-)
-
-// String returns the policy name.
-func (s SchedPolicy) String() string {
-	if s == SchedLRR {
-		return "lrr"
-	}
-	return "gto"
-}
-
 // DRAMTiming is the GDDR5 timing set (Table 1, in memory-clock cycles).
 type DRAMTiming struct {
 	TCL  int // CAS latency
@@ -42,15 +25,14 @@ type DRAMTiming struct {
 // start from Baseline().
 type Config struct {
 	// Cores.
-	NumSMs          int         // streaming multiprocessors
-	WarpSize        int         // threads per warp
-	MaxWarpsPerSM   int         // hardware warp contexts per SM
-	MaxCTAsPerSM    int         // thread-block limit per SM
-	MaxThreadsPerSM int         // thread limit per SM
-	RegFilePerSM    int         // 32-bit registers per SM
-	SharedMemPerSM  int         // bytes of shared memory per SM
-	NumSchedulers   int         // warp schedulers per SM (issue width)
-	Scheduler       SchedPolicy // scheduling policy
+	NumSMs          int // streaming multiprocessors
+	WarpSize        int // threads per warp
+	MaxWarpsPerSM   int // hardware warp contexts per SM
+	MaxCTAsPerSM    int // thread-block limit per SM
+	MaxThreadsPerSM int // thread limit per SM
+	RegFilePerSM    int // 32-bit registers per SM
+	SharedMemPerSM  int // bytes of shared memory per SM
+	NumSchedulers   int // GTO warp schedulers per SM (issue width)
 	CoreClockMHz    int
 
 	// Pipeline latencies (core cycles).
@@ -232,7 +214,6 @@ func Baseline() Config {
 		RegFilePerSM:    32768, // 128KB of 4B registers
 		SharedMemPerSM:  32 << 10,
 		NumSchedulers:   2,
-		Scheduler:       SchedGTO,
 		CoreClockMHz:    1400,
 		ALULatency:      4,
 		SFULatency:      20,

@@ -131,9 +131,3 @@ func TestMemClockRatio(t *testing.T) {
 		t.Error("BWScale must scale the ratio")
 	}
 }
-
-func TestSchedPolicyNames(t *testing.T) {
-	if SchedGTO.String() != "gto" || SchedLRR.String() != "lrr" {
-		t.Error("policy names wrong")
-	}
-}

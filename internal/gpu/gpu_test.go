@@ -509,38 +509,6 @@ func TestIncompressibleDataNoHarm(t *testing.T) {
 	}
 }
 
-func TestLRRSchedulerRuns(t *testing.T) {
-	// The LRR policy must produce the same functional results as GTO.
-	threads, iters := 256, 16
-	run := func(pol config.SchedPolicy) *Simulator {
-		cfg := config.TestConfig()
-		cfg.Scheduler = pol
-		k := &Kernel{Prog: streamSumKernel(), GridCTAs: 4, CTAThreads: 64,
-			Params: [4]uint64{inBase, outBase, uint64(threads * 4), uint64(iters)}}
-		sim, err := New(&cfg, config.DesignBase, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fillInput(sim, threads*iters, true)
-		if err := sim.Run(5_000_000); err != nil {
-			t.Fatal(err)
-		}
-		return sim
-	}
-	gto := run(config.SchedGTO)
-	lrr := run(config.SchedLRR)
-	for tid := 0; tid < threads; tid += 13 {
-		g := gto.Mem.ReadU(outBase+uint64(tid*4), 4)
-		l := lrr.Mem.ReadU(outBase+uint64(tid*4), 4)
-		if g != l {
-			t.Fatalf("out[%d]: gto %d vs lrr %d", tid, g, l)
-		}
-	}
-	if lrr.Cycles() == 0 || gto.Cycles() == 0 {
-		t.Error("no cycles recorded")
-	}
-}
-
 func TestL1CapacityModeHoldsMoreLines(t *testing.T) {
 	// Figure 13 mechanism check: with 2x tags and compressible lines the
 	// L1 hit rate should not decrease versus the baseline L1.

@@ -25,34 +25,14 @@ const (
 	trackMSHRBase = 2000
 )
 
-// classify maps a slot's accumulated hazard flags to Figure 1's stall
-// kind. The precedence — Memory over Compute over DataDep over Idle — is
-// deliberate and load-bearing: a slot that saw both a memory-blocked and
-// a scoreboard-blocked candidate counts as a memory stall, matching the
-// paper's taxonomy (the memory system is the resource whose recovery
-// would have let the slot issue soonest). issueSlot and quiescent both
-// classify through this single function, and the per-warp stall
-// attribution charges along the same precedence, so attribution totals
-// always reconcile exactly with the IssueSlots counters.
-func classify(f *slotFlags) stats.StallKind {
-	switch {
-	case f.memS:
-		return stats.MemoryStall
-	case f.compS:
-		return stats.ComputeStall
-	case f.dep:
-		return stats.DataDepStall
-	default:
-		return stats.IdleCycle
-	}
-}
-
 // initBlame arms a slotFlags for attribution: blamed-warp fields start
 // at -1 (unset) so the first flagged candidate in scheduler visit order
 // wins deterministically.
 func (f *slotFlags) initBlame() {
 	f.blame = true
-	f.depW, f.memW, f.compW = -1, -1, -1
+	for k := range f.blameW {
+		f.blameW[k] = -1
+	}
 	f.barW, f.drainW, f.idleAW = -1, -1, -1
 }
 
@@ -62,24 +42,17 @@ func (f *slotFlags) initBlame() {
 // precedence is barrier > drain > blocked low-priority assist > empty
 // SM (charged to the SM row as warp -1).
 func blameFor(kind stats.StallKind, f *slotFlags) (int, obs.Cause) {
-	switch kind {
-	case stats.MemoryStall:
-		return f.memW, f.memC
-	case stats.ComputeStall:
-		return f.compW, f.compC
-	case stats.DataDepStall:
-		return f.depW, f.depC
+	switch {
+	case kind != stats.IdleCycle:
+		return f.blameW[kind], f.blameC[kind]
+	case f.barW >= 0:
+		return f.barW, obs.CauseBarrier
+	case f.drainW >= 0:
+		return f.drainW, obs.CauseDrain
+	case f.idleAW >= 0:
+		return f.idleAW, obs.CauseAssist
 	default:
-		switch {
-		case f.barW >= 0:
-			return f.barW, obs.CauseBarrier
-		case f.drainW >= 0:
-			return f.drainW, obs.CauseDrain
-		case f.idleAW >= 0:
-			return f.idleAW, obs.CauseAssist
-		default:
-			return -1, obs.CauseEmpty
-		}
+		return -1, obs.CauseEmpty
 	}
 }
 
@@ -100,21 +73,6 @@ func (f *slotFlags) noteIdleWarp(w *warpCtx) {
 		}
 	} else if f.drainW < 0 {
 		f.drainW = w.id
-	}
-}
-
-// noteAssist records a blocked high-priority assist warp for blame. The
-// charge lands on the assist's host warp slot as CauseAssist, filed
-// under whichever stall flag the assist's hazard raised so it stays
-// consistent with the slot's final classification.
-func (f *slotFlags) noteAssist(warp int, dep, memS, compS bool) {
-	switch {
-	case memS && f.memW < 0:
-		f.memW, f.memC = warp, obs.CauseAssist
-	case compS && f.compW < 0:
-		f.compW, f.compC = warp, obs.CauseAssist
-	case dep && f.depW < 0:
-		f.depW, f.depC = warp, obs.CauseAssist
 	}
 }
 
@@ -254,7 +212,7 @@ func (sim *Simulator) gather(extraTicks uint64) obsTotals {
 		dramBusy: sim.S.DRAMBusyCycles,
 	}
 	sched := uint64(sim.Cfg.NumSchedulers)
-	for i, sm := range sim.sms {
+	for _, sm := range sim.sms {
 		t.instrs += sm.stat.ThreadInstrs
 		for k := range t.issue {
 			t.issue[k] += sm.stat.IssueSlots[k]
@@ -262,7 +220,7 @@ func (sim *Simulator) gather(extraTicks uint64) obsTotals {
 		t.l1h += sm.stat.L1Hits
 		t.l1m += sm.stat.L1Misses
 		if extraTicks > 0 {
-			t.issue[sim.ffKinds[i]] += extraTicks * sched
+			t.issue[sm.qKind] += extraTicks * sched
 		}
 	}
 	return t

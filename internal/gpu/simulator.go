@@ -44,8 +44,6 @@ type Simulator struct {
 
 	occ Occupancy
 
-	// ffKinds is per-SM scratch for the fast-forward stall classification.
-	ffKinds []stats.StallKind
 	// ffSkips / ffCycles count fast-forward jumps and the cycles they
 	// covered (observability; not part of the equivalence-checked stats).
 	ffSkips  uint64
@@ -87,11 +85,6 @@ type Simulator struct {
 	// memory system writes the last one, all on determinism-safe paths.
 	smp *sampler
 	tr  *obs.Trace
-
-	// Debug instrumentation (enabled by tests).
-	dbgFetch    map[uint64]uint64
-	dbgFetchLat uint64
-	dbgFetchN   uint64
 }
 
 // Interrupt asks a running Run to stop at the next poll point (every few
@@ -158,7 +151,6 @@ func New(cfg *config.Config, design config.Design, k *Kernel) (*Simulator, error
 	for i := range sim.sms {
 		sim.sms[i] = newSM(i, sim)
 	}
-	sim.ffKinds = make([]stats.StallKind, cfg.NumSMs)
 	sim.wireObs()
 	sim.S.RegsPerThread = k.Prog.NumReg
 	sim.S.ThreadsPerSM = sim.occ.ThreadsPerSM
@@ -485,15 +477,7 @@ func (sim *Simulator) firstFatal() error {
 // pending. It seeds the per-SM quiescence caches exactly as ffWake does.
 func (sim *Simulator) allWedged() bool {
 	for _, sm := range sim.sms {
-		if !sm.qValid || sim.cycle >= sm.qHorizon {
-			kind, horizon, ok := sm.quiescent(sim.cycle)
-			if !ok {
-				sm.qValid = false
-				return false
-			}
-			sm.qValid, sm.qKind, sm.qHorizon = true, kind, horizon
-		}
-		if sm.qHorizon != ^uint64(0) {
+		if !sm.quiet(sim.cycle, true) || sm.qHorizon != ^uint64(0) {
 			return false
 		}
 	}
@@ -538,22 +522,14 @@ func (sim *Simulator) ffWake(maxCycles uint64) (uint64, bool) {
 	if wake <= sim.cycle+1 {
 		return 0, false
 	}
-	for i, sm := range sim.sms {
+	for _, sm := range sim.sms {
 		// Reuse the SM's quiescence cache when it is still valid; a fresh
 		// verdict seeds it for the per-SM tick fast path even when the
 		// global skip below turns out to be too short.
-		if !sm.qValid || sim.cycle >= sm.qHorizon {
-			kind, horizon, ok := sm.quiescent(sim.cycle)
-			if !ok {
-				sm.qValid = false
-				return 0, false
-			}
-			sm.qValid, sm.qKind, sm.qHorizon = true, kind, horizon
+		if !sm.quiet(sim.cycle, true) {
+			return 0, false
 		}
-		sim.ffKinds[i] = sm.qKind
-		if sm.qHorizon < wake {
-			wake = sm.qHorizon
-		}
+		wake = min(wake, sm.qHorizon)
 	}
 	if wake <= sim.cycle+1 {
 		return 0, false
@@ -562,21 +538,12 @@ func (sim *Simulator) ffWake(maxCycles uint64) (uint64, bool) {
 }
 
 // creditSkip applies the bulk stall accounting for n skipped ticks
-// (cycles sim.cycle .. wake-1): each SM's issue slots are credited with
-// its quiescent classification, the AWC utilization windows advance by
-// the same slot count, and per-SM clocks move to wake-1 exactly as if
-// tick(wake-1) had run.
+// (cycles sim.cycle .. wake-1): every SM credits them from its quiescence
+// cache, the same credit the per-SM tick fast path applies one tick at a
+// time, and its clock moves to wake-1 exactly as if tick(wake-1) had run.
 func (sim *Simulator) creditSkip(n, wake uint64) {
-	sched := sim.Cfg.NumSchedulers
-	for i, sm := range sim.sms {
-		sim.S.IssueSlots[sim.ffKinds[i]] += n * uint64(sched)
-		if sm.attr != nil {
-			// Charge the quiescence-cached blame pair for every credited
-			// slot, exactly as the per-cycle fast path would have.
-			sm.attr.Charge(sm.qBlameW, sm.qBlameC, n*uint64(sched))
-		}
-		sm.awc.NoteIdleSlots(int(n) * sched)
-		sm.cycle = wake - 1
+	for _, sm := range sim.sms {
+		sm.creditQuiet(n, wake-1)
 	}
 	sim.ffSkips++
 	sim.ffCycles += n

@@ -163,8 +163,7 @@ type SM struct {
 	// lastIssueCycle then warp slot). It is maintained incrementally:
 	// issued warps recorded in issuedBuf are re-placed at the back on the
 	// next tick, and orderDirty forces a full rebuild after warp validity
-	// changes (CTA placement/retirement). LRR rebuilds every tick. Entries
-	// are warp slot indices rather than pointers so the per-issue
+	// changes (CTA placement/retirement). Entries are warp slot indices rather than pointers so the per-issue
 	// move-to-back shift is a barrier-free memmove and the position scan
 	// stays within a few cache lines.
 	order       []int32
@@ -607,13 +606,8 @@ func (sm *SM) freeWarps() int {
 // retireCTAIfDone frees a finished CTA and asks the dispatcher for more
 // work.
 func (sm *SM) retireCTAIfDone(cta *ctaCtx) {
-	if cta.liveWarps > 0 {
+	if !cta.retirable() {
 		return
-	}
-	for _, w := range cta.warps {
-		if w.inFlight > 0 || w.pendingLoads > 0 || w.replay != nil {
-			return
-		}
 	}
 	for _, w := range cta.warps {
 		if sm.tr != nil {
@@ -665,27 +659,13 @@ func (sm *SM) tickCompute(cycle uint64) {
 	// Quiescence fast path: replay (or establish) a proven stall
 	// classification without touching the pipeline. Bit-identical to the
 	// full tick below — quiescent() guarantees the tick would be a pure
-	// accounting no-op, and NoteIdleSlots matches NumSchedulers failed
-	// NoteIssueSlot calls exactly.
-	if sm.sim.Cfg.FastForward {
-		if !sm.qValid && sm.qTry {
-			if kind, horizon, ok := sm.quiescent(cycle); ok {
-				sm.qValid, sm.qKind, sm.qHorizon = true, kind, horizon
-			}
-		}
-		if sm.qValid {
-			if cycle < sm.qHorizon {
-				sm.cycle = cycle
-				sched := sm.sim.Cfg.NumSchedulers
-				sm.stat.IssueSlots[sm.qKind] += uint64(sched)
-				if sm.attr != nil {
-					sm.attr.Charge(sm.qBlameW, sm.qBlameC, uint64(sched))
-				}
-				sm.awc.NoteIdleSlots(sched)
-				return
-			}
-			sm.qValid = false
-		}
+	// accounting no-op, and creditQuiet's NoteIdleSlots matches
+	// NumSchedulers failed NoteIssueSlot calls exactly.
+	// Only a tick that follows an idle one proves a fresh verdict; one
+	// whose horizon ran out waits for a full tick.
+	if sm.sim.Cfg.FastForward && sm.quiet(cycle, sm.qTry && !sm.qValid) {
+		sm.creditQuiet(1, cycle)
+		return
 	}
 
 	// Retire pipeline writebacks due this cycle before the clock (and the
@@ -726,440 +706,6 @@ func (sm *SM) tickCompute(cycle uint64) {
 		for i := len(sm.ctas) - 1; i >= 0; i-- {
 			sm.retireCTAIfDone(sm.ctas[i])
 		}
-	}
-}
-
-// slotFlags records why candidates could not issue, for Figure 1's
-// classification.
-type slotFlags struct {
-	dep   bool
-	memS  bool
-	compS bool
-
-	// Attribution blame, filled only when blame is armed (initBlame):
-	// for each raised flag, the first candidate warp that raised it —
-	// in scheduler visit order — and the specific structural cause.
-	// barW/drainW/idleAW back the idle-slot precedence (barrier >
-	// drain > blocked low-priority assist > empty SM).
-	blame             bool
-	depW, memW, compW int
-	depC, memC, compC obs.Cause
-	barW, drainW      int
-	idleAW            int
-}
-
-// quiescent reports whether tick(cycle) would be a pure stall-accounting
-// no-op for this SM — nothing can issue, retire, drain or deploy — and if
-// so, which stall kind each of its issue slots would record. horizon is
-// the earliest future cycle at which this SM's own state can make a tick
-// act again (pipeline writeback, LSU/SFU port release, store-buffer
-// aging); ^uint64(0) when the SM is waiting purely on memory-system
-// events. The fast-forward engine may then skip ticks up to
-// min(horizon, next event) while crediting `kind` in bulk, with results
-// bit-identical to per-cycle ticking.
-func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok bool) {
-	horizon = ^uint64(0)
-
-	// Assist-warp machinery in flight advances state every tick (retries,
-	// AWC deployment, round-robin rotation).
-	if len(sm.decompRetry) > 0 || !sm.awc.Idle() {
-		return 0, 0, false
-	}
-	// A writeback due this very tick acts; later ones bound the window.
-	if len(sm.wbRing[cycle&sm.wbMask]) > 0 {
-		return 0, 0, false
-	}
-	if wb, any := sm.wbNext(cycle); any && wb < horizon {
-		horizon = wb
-	}
-	// Replay queue: progress this tick means not quiescent; otherwise it
-	// is gated on the LSU (horizon) or a fill event freeing the MSHR
-	// (covered by the event-queue bound).
-	if len(sm.replayQ) > 0 {
-		if cycle >= sm.lsuFree {
-			if !sm.mshr.Full() {
-				return 0, 0, false
-			}
-		} else if sm.lsuFree < horizon {
-			horizon = sm.lsuFree
-		}
-	}
-	// A retirable CTA means the tick would retire it and dispatch work.
-	for _, cta := range sm.ctas {
-		if cta.liveWarps != 0 {
-			continue
-		}
-		retirable := true
-		for _, w := range cta.warps {
-			if w.inFlight > 0 || w.pendingLoads > 0 || w.replay != nil {
-				retirable = false
-				break
-			}
-		}
-		if retirable {
-			return 0, 0, false
-		}
-	}
-	// Store buffer: a due drain acts now; future aging bounds the window.
-	bufFull := len(sm.storeBuf) >= storeBufCap*3/4
-	for _, se := range sm.storeBuf {
-		if se.state != sbPending {
-			continue
-		}
-		if bufFull || cycle-se.lastTouch >= storeDrainAge {
-			return 0, 0, false
-		}
-		if t := se.lastTouch + storeDrainAge; t < horizon {
-			horizon = t
-		}
-	}
-	// Warps: replicate issueSlot's classification flags without issuing.
-	// Per-tick port counters (aluPorts/lsuPorts) reset every cycle, so
-	// only the lsuFree/sfuFree time gates matter here. Under LRR the last
-	// issuer is skipped by the issue loop, so it is skipped here too.
-	var f slotFlags
-	if sm.attr != nil {
-		f.initBlame()
-	}
-	lrr := sm.sim.Cfg.Scheduler == config.SchedLRR
-	for _, w := range sm.warps {
-		if !w.valid || (lrr && w == sm.greedy) {
-			continue
-		}
-		in := w.exec.CurrentSop()
-		if in == nil {
-			// Done or at barrier: contributes to idle.
-			if f.blame {
-				f.noteIdleWarp(w)
-			}
-			continue
-		}
-		if w.sb.ConflictsSop(in) {
-			f.dep = true
-			if f.blame && f.depW < 0 {
-				f.depW, f.depC = w.id, sm.depCause(w)
-			}
-			continue
-		}
-		switch in.Class {
-		case isa.ClassMem:
-			if cycle < sm.lsuFree {
-				f.memS = true
-				if f.blame && f.memW < 0 {
-					f.memW, f.memC = w.id, obs.CauseLSUBusy
-				}
-				if sm.lsuFree < horizon {
-					horizon = sm.lsuFree
-				}
-				continue
-			}
-			if in.GlobalMem && in.StoreOp &&
-				len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore() {
-				// Unblocks only via compression/RMW completion events.
-				f.memS = true
-				if f.blame && f.memW < 0 {
-					f.memW, f.memC = w.id, obs.CauseStoreBufFull
-				}
-				continue
-			}
-			if in.GlobalMem && w.replay != nil {
-				// Blocks behind the warp's replaying load, which drains
-				// via fill events or the LSU horizon handled above.
-				f.memS = true
-				if f.blame && f.memW < 0 {
-					f.memW, f.memC = w.id, sm.mshrCause()
-				}
-				continue
-			}
-			return 0, 0, false // the LSU is free: this warp would issue
-		case isa.ClassSFU:
-			if cycle < sm.sfuFree {
-				if sm.memo != nil {
-					// With memoization on, a busy SFU port is not a
-					// stall: the live tick may issue this warp through
-					// the probe path. Never claim quiescence over it.
-					return 0, 0, false
-				}
-				f.compS = true
-				if f.blame && f.compW < 0 {
-					f.compW, f.compC = w.id, obs.CauseSFUBusy
-				}
-				if sm.sfuFree < horizon {
-					horizon = sm.sfuFree
-				}
-				continue
-			}
-			return 0, 0, false
-		default:
-			// ALU and control ports are always available at tick start.
-			return 0, 0, false
-		}
-	}
-	kind = classify(&f)
-	if f.blame {
-		sm.qBlameW, sm.qBlameC = blameFor(kind, &f)
-	}
-	return kind, horizon, true
-}
-
-// issueSlot tries to issue one instruction and classifies the slot. A
-// slot that issues nothing is classified by classify (Memory > Compute >
-// DataDep > Idle, shared with quiescent) and, when attribution is on,
-// charged to exactly one (warp, cause) pair via chargeSlot.
-func (sm *SM) issueSlot() stats.StallKind {
-	var f slotFlags
-	if sm.attr != nil {
-		f.initBlame()
-	}
-
-	// High-priority assist warps issue with precedence (Section 3.2.3):
-	// they are the fill critical path that blocked warps are waiting on,
-	// and killing their latency is what keeps CABA competitive with
-	// dedicated logic.
-	for _, e := range sm.awc.Entries() {
-		if e.Pri == core.PriHigh && e.Staged > 0 {
-			ok, dep, memS, compS := sm.tryIssueAssist(e)
-			if ok {
-				return stats.Active
-			}
-			f.dep = f.dep || dep
-			f.memS = f.memS || memS
-			f.compS = f.compS || compS
-			if f.blame {
-				f.noteAssist(e.Warp, dep, memS, compS)
-			}
-		}
-	}
-
-	// GTO: greedy on the last warp, then oldest (least-recently issued).
-	// LRR skips the greedy step and rotates.
-	if sm.sim.Cfg.Scheduler == config.SchedGTO {
-		if g := sm.greedy; g != nil && g.valid && sm.tryWarp(g, &f) {
-			return stats.Active
-		}
-	}
-	for _, wi := range sm.order {
-		w := sm.warps[wi]
-		if w == sm.greedy {
-			continue
-		}
-		if sm.tryWarp(w, &f) {
-			sm.greedy = w
-			return stats.Active
-		}
-	}
-
-	// Idle slot: low-priority assist warps (Section 3.2.3 — scheduled
-	// only during idle cycles).
-	for _, e := range sm.awc.LowEntries() {
-		if e.Staged == 0 {
-			continue
-		}
-		if ok, _, _, _ := sm.tryIssueAssist(e); ok {
-			return stats.Active
-		}
-		if f.blame && f.idleAW < 0 {
-			f.idleAW = e.Warp
-		}
-	}
-
-	kind := classify(&f)
-	if sm.attr != nil {
-		sm.chargeSlot(kind, &f)
-	}
-	return kind
-}
-
-// tryWarp attempts to issue for one warp: its high-priority assist warp
-// first (which takes precedence over the parent, Section 3.2.3), then its
-// own next instruction.
-func (sm *SM) tryWarp(w *warpCtx, f *slotFlags) bool {
-	if !w.valid {
-		return false
-	}
-	// Replay verdicts already proven: a dependence failure (and its blame
-	// pair) holds until one of this warp's scoreboard bits clears; a
-	// done/at-barrier verdict holds until a barrier release or a fresh
-	// CTA placement.
-	if w.depStalled {
-		f.dep = true
-		if f.blame && f.depW < 0 {
-			f.depW, f.depC = w.id, sm.depCause(w)
-		}
-		return false
-	}
-	if w.idle {
-		if f.blame {
-			f.noteIdleWarp(w)
-		}
-		return false
-	}
-	in := w.exec.CurrentSop()
-	if in == nil {
-		// Done or at barrier: contributes to idle.
-		w.idle = true
-		if f.blame {
-			f.noteIdleWarp(w)
-		}
-		return false
-	}
-	if w.sb.ConflictsSop(in) {
-		w.depStalled = true
-		f.dep = true
-		if f.blame && f.depW < 0 {
-			f.depW, f.depC = w.id, sm.depCause(w)
-		}
-		return false
-	}
-	ok, memS, compS := sm.portsAvailable(in)
-	if !ok {
-		// A saturated SFU port is exactly where the memoization use case
-		// adds throughput: a result-cache hit issues through a probe
-		// assist instead of waiting for the port.
-		if compS && sm.memo != nil && in.Class == isa.ClassSFU && sm.tryMemoIssue(w, in) {
-			return true
-		}
-		f.memS = f.memS || memS
-		f.compS = f.compS || compS
-		if f.blame {
-			if memS && f.memW < 0 {
-				f.memW, f.memC = w.id, sm.portCause(in)
-			} else if compS && f.compW < 0 {
-				f.compW, f.compC = w.id, sm.portCause(in)
-			}
-		}
-		return false
-	}
-	// One load at a time may sit in the replay queue per warp: a second
-	// global access waits for the first's MSHR-overflow lines to drain.
-	if in.GlobalMem && w.replay != nil {
-		f.memS = true
-		if f.blame && f.memW < 0 {
-			f.memW, f.memC = w.id, sm.mshrCause()
-		}
-		return false
-	}
-	sm.issueRegular(w, in)
-	return true
-}
-
-// rebuildOrder maintains the scheduling order. LRR rotates round-robin
-// from the slot after the last issuer every tick. GTO (oldest-first,
-// stable on warp slot) is kept incrementally: a full filter+sort only
-// after validity changes (orderDirty); otherwise each warp that issued
-// last tick is re-placed at the back, which reproduces the stable sort
-// exactly — issued warps share the previous tick's (maximal) issue cycle,
-// and ties within that group are restored to slot order.
-func (sm *SM) rebuildOrder() {
-	if sm.sim.Cfg.Scheduler == config.SchedLRR {
-		sm.issuedBuf = sm.issuedBuf[:0]
-		sm.order = sm.order[:0]
-		start := 0
-		if sm.greedy != nil {
-			start = sm.greedy.id + 1
-		}
-		n := len(sm.warps)
-		for i := 0; i < n; i++ {
-			wi := (start + i) % n
-			if sm.warps[wi].valid {
-				sm.order = append(sm.order, int32(wi))
-			}
-		}
-		return
-	}
-	if sm.orderDirty {
-		sm.orderDirty = false
-		sm.issuedBuf = sm.issuedBuf[:0]
-		sm.order = sm.order[:0]
-		for i, w := range sm.warps {
-			if w.valid {
-				sm.order = append(sm.order, int32(i))
-			}
-		}
-		cyc := func(wi int32) uint64 { return sm.warps[wi].lastIssueCycle }
-		for i := 1; i < len(sm.order); i++ {
-			for j := i; j > 0 && cyc(sm.order[j]) < cyc(sm.order[j-1]); j-- {
-				sm.order[j], sm.order[j-1] = sm.order[j-1], sm.order[j]
-			}
-		}
-		return
-	}
-	if len(sm.issuedBuf) > 0 {
-		for _, w := range sm.issuedBuf {
-			sm.orderMoveToBack(w)
-		}
-		sm.issuedBuf = sm.issuedBuf[:0]
-	}
-}
-
-// orderMoveToBack re-places w (which just issued, so its lastIssueCycle is
-// maximal) at the back of the GTO order, keeping equal-cycle ties in warp
-// slot order.
-func (sm *SM) orderMoveToBack(w *warpCtx) {
-	id := int32(w.id)
-	pos := -1
-	for i, o := range sm.order {
-		if o == id {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return
-	}
-	n := len(sm.order)
-	copy(sm.order[pos:], sm.order[pos+1:])
-	k := n - 1
-	for k > pos {
-		p := sm.warps[sm.order[k-1]]
-		if p.lastIssueCycle != w.lastIssueCycle || p.id <= w.id {
-			break
-		}
-		sm.order[k] = sm.order[k-1]
-		k--
-	}
-	sm.order[k] = id
-}
-
-// portsAvailable checks structural hazards for an op class; (ok, memStall,
-// compStall).
-func (sm *SM) portsAvailable(in *isa.Superop) (bool, bool, bool) {
-	switch in.Class {
-	case isa.ClassMem:
-		if sm.lsuPorts == 0 || sm.cycle < sm.lsuFree {
-			return false, true, false
-		}
-		if in.GlobalMem && in.StoreOp &&
-			len(sm.storeBuf) >= storeBufCap && !sm.canEvictStore() {
-			return false, true, false
-		}
-	case isa.ClassSFU:
-		if sm.cycle < sm.sfuFree {
-			return false, false, true
-		}
-	case isa.ClassALU:
-		if sm.aluPorts == 0 {
-			return false, false, true
-		}
-	}
-	return true, false, false
-}
-
-// portCause names the specific structural resource behind a
-// portsAvailable failure, for stall attribution. Only called (blame
-// armed) after portsAvailable returned false for in, so the branches
-// mirror its failing conditions exactly.
-func (sm *SM) portCause(in *isa.Superop) obs.Cause {
-	switch in.Class {
-	case isa.ClassMem:
-		if sm.lsuPorts == 0 || sm.cycle < sm.lsuFree {
-			return obs.CauseLSUBusy
-		}
-		return obs.CauseStoreBufFull
-	case isa.ClassSFU:
-		return obs.CauseSFUBusy
-	default:
-		return obs.CauseALUBusy
 	}
 }
 
@@ -1401,7 +947,7 @@ func (sm *SM) processReplays() {
 	for len(sm.replayQ) > 0 {
 		req := sm.replayQ[0]
 		for len(req.todo) > 0 {
-			if sm.cycle < sm.lsuFree || sm.mshr.Full() {
+			if !sm.replayReady(sm.cycle) {
 				return
 			}
 			ln := req.todo[0]
@@ -1424,6 +970,12 @@ func (sm *SM) processReplays() {
 		}
 		sm.replayQ = sm.replayQ[1:]
 	}
+}
+
+// replayReady reports whether the LSU can retry a replayed line at
+// cycle: its port is free and so is an MSHR entry.
+func (sm *SM) replayReady(cycle uint64) bool {
+	return cycle >= sm.lsuFree && !sm.mshr.Full()
 }
 
 // loadLineDone retires one line of a load; the last line completes the
@@ -1520,14 +1072,21 @@ func (sm *SM) evictOldestStore() {
 func (sm *SM) drainStores() {
 	for i := 0; i < len(sm.storeBuf); {
 		se := sm.storeBuf[i]
-		if se.state == sbPending &&
-			(sm.cycle-se.lastTouch >= storeDrainAge || len(sm.storeBuf) >= storeBufCap*3/4) {
+		if sm.drainDue(se, sm.cycle) {
 			sm.beginDrain(se)
 		}
 		if i < len(sm.storeBuf) && sm.storeBuf[i] == se {
 			i++
 		}
 	}
+}
+
+// drainDue reports whether se starts draining at cycle: a pending line
+// drains once it has aged storeDrainAge cycles, or at once while the
+// buffer is three-quarters full.
+func (sm *SM) drainDue(se *storeEntry, cycle uint64) bool {
+	return se.state == sbPending &&
+		(cycle-se.lastTouch >= storeDrainAge || len(sm.storeBuf) >= storeBufCap*3/4)
 }
 
 // beginDrain starts writing a store line back: a partial overwrite of a
@@ -1978,81 +1537,6 @@ func (sm *SM) refetchRaw(ln uint64, after cont) {
 
 // --- Assist-warp instruction issue ---
 
-// tryIssueAssistOK wraps tryIssueAssist for the low-priority path.
-func (sm *SM) tryIssueAssistOK(e *core.Entry) (ok, dep, memS, compS bool) {
-	return sm.tryIssueAssist(e)
-}
-
-// tryIssueAssist issues one staged instruction of an assist warp.
-func (sm *SM) tryIssueAssist(e *core.Entry) (ok, dep, memS, compS bool) {
-	in := e.Exec.CurrentSop()
-	if in == nil || e.Staged == 0 {
-		return false, false, false, false
-	}
-	if e.SB.ConflictsSop(in) {
-		return false, true, false, false
-	}
-	pOK, memS, compS := sm.portsAvailable(in)
-	if !pOK {
-		return false, false, memS, compS
-	}
-	info, stepped := e.Exec.StepRef()
-	if !stepped {
-		return false, false, false, false
-	}
-	// A routine error (e.g. an out-of-range stage store while chewing on a
-	// corrupted payload) marks the exec Done; the entry drains through the
-	// normal writeback path and its completion callback sees Exec.Err —
-	// the fault-detection path for injected corruption, a fatal error
-	// otherwise. No special handling is needed here.
-	e.Staged--
-	sm.awc.NoteConsumed()
-	if e.Exec.Done {
-		e.Staged = 0 // discard over-staged slots past the routine's end
-	}
-	sm.stat.AssistInstrs++
-	sm.countClass(in)
-
-	lat := uint64(sm.sim.Cfg.ALULatency)
-	switch in.Class {
-	case isa.ClassALU:
-		sm.aluPorts--
-	case isa.ClassSFU:
-		sm.sfuFree = sm.cycle + 4
-		lat = uint64(sm.sim.Cfg.SFULatency)
-	case isa.ClassMem:
-		sm.lsuPorts--
-		lat = uint64(sm.sim.Cfg.L1Latency)
-		if in.GlobalMem {
-			// Assist-warp global access (prefetch routine): goes through
-			// the normal memory path without blocking the assist warp's
-			// completion on the fill.
-			for _, ln := range coalesceInto(&sm.awLineBuf, &info.Addrs, info.ExecMask, sm.sim.Cfg.LineSize) {
-				if sm.l1.Lookup(ln, false) {
-					sm.stat.L1Hits++
-					continue
-				}
-				sm.stat.L1Misses++
-				primary, _ := sm.mshr.Add(ln, (*loadReq)(nil))
-				if primary {
-					if sm.tr != nil {
-						sm.traceMSHRBegin(ln)
-					}
-					if sm.pf != nil {
-						sm.pf.lines++ // prefetch-held MSHR entry until its fill
-					}
-					sm.sysReadLine(ln, &fillCtx{kind: fillAssist})
-				}
-			}
-		}
-	}
-	e.SB.MarkSop(in)
-	e.Outstanding++
-	sm.wbAdd(sm.cycle+lat, wbRec{kind: wbAssist, sop: in, e: e})
-	sm.checkAssistDone(e)
-	return true, false, false, false
-}
-
 // countClass tallies the issued instruction's class for the energy model.
 func (sm *SM) countClass(in *isa.Superop) {
 	switch in.Class {
@@ -2093,13 +1577,6 @@ func (sm *SM) onFill(ln uint64, user any) {
 		sm.stat.FaultsRecovered++
 		sm.runCont(ctx.after)
 		return
-	}
-	if sm.sim.dbgFetch != nil && ctx.kind == fillLoad {
-		if t0, ok := sm.sim.dbgFetch[ln]; ok {
-			sm.sim.dbgFetchLat += sm.cycle - t0
-			sm.sim.dbgFetchN++
-			delete(sm.sim.dbgFetch, ln)
-		}
 	}
 	st := sm.sim.Sys.ArrivesCompressed(ln)
 	proceed := cont{kind: contCompleteFill, ln: ln, fill: ctx}

@@ -21,6 +21,20 @@ type ctaCtx struct {
 	atBarrier int
 }
 
+// retirable reports whether the CTA can retire: every warp has finished
+// and drained its in-flight instructions, loads and replays.
+func (c *ctaCtx) retirable() bool {
+	if c.liveWarps > 0 {
+		return false
+	}
+	for _, w := range c.warps {
+		if w.inFlight > 0 || w.pendingLoads > 0 || w.replay != nil {
+			return false
+		}
+	}
+	return true
+}
+
 // warpCtx is one hardware warp slot.
 type warpCtx struct {
 	id   int // slot index within the SM
