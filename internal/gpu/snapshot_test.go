@@ -3,6 +3,7 @@ package gpu
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/caba-sim/caba/internal/audit"
@@ -330,11 +331,13 @@ func TestSnapshotLoadNeverPanics(t *testing.T) {
 	try("version-skew", skew)
 }
 
-// FuzzSnapshotLoad fuzzes the full restore path with a real checkpoint
-// as the seed corpus. The property is absence of panics: any mutation
-// either round-trips (unlikely past the CRC) or returns an error.
+// FuzzSnapshotLoad fuzzes the full restore path with the payload of a
+// real checkpoint as the seed corpus. Each input is re-sealed with the
+// run's configuration hash, so mutations get past the container's CRC
+// and reach the payload decoder. The property: LoadState returns (nil or
+// an error) without its panic backstop firing — every malformed field
+// must be caught by an explicit check.
 func FuzzSnapshotLoad(f *testing.F) {
-	c := snapMatrixCase{workers: 1}
 	const threads, iters = 512, 4
 	build := func(fill bool) (*Simulator, error) {
 		cfg := config.TestConfig()
@@ -356,7 +359,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	var blob []byte
-	sim.Cfg.CheckpointEvery = 2_000
+	sim.Cfg.CheckpointEvery = 500 // the run ends near cycle 1,900
 	sim.OnCheckpoint = func(_ uint64, b []byte) error {
 		if blob == nil {
 			blob = append([]byte(nil), b...)
@@ -366,18 +369,25 @@ func FuzzSnapshotLoad(f *testing.F) {
 	if err := sim.Run(20_000_000); err != nil {
 		f.Fatal(err)
 	}
-	if blob != nil {
-		f.Add(blob)
-		f.Add(blob[:len(blob)/2])
+	if blob == nil {
+		f.Fatalf("the seed run (%d cycles) took no checkpoint", sim.Cycles())
 	}
+	hash, payload, err := snapshot.Inspect(blob)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fresh, err := build(false)
 		if err != nil {
-			t.Skip()
+			t.Fatal(err)
 		}
-		_ = fresh.LoadState(data) // must not panic
-		_ = c
+		if err := fresh.LoadState(snapshot.Seal(hash, data)); err != nil &&
+			strings.Contains(err.Error(), "snapshot decode panic") {
+			t.Fatal(err)
+		}
 	})
 }
 
