@@ -17,8 +17,9 @@ import (
 
 // Store is the coordinator's durable, content-addressed state: completed
 // results keyed by cell content hash, terminal failure and poison
-// records, plus the latest mid-run checkpoint blob per cell. Every result entry is sealed in the snapshot container —
-// magic, version, the cell key as the binding hash, and a CRC over the
+// records, plus the latest mid-run checkpoint blob per cell. Every result
+// entry is sealed in the snapshot container — magic, the record version
+// (recordVersion), the cell key as the binding hash, and a CRC over the
 // JSON payload — so a read always verifies integrity and address binding
 // before trusting the bytes. An entry that fails verification (torn
 // write, bit rot, a file renamed to the wrong address) is quarantined:
@@ -41,6 +42,15 @@ type Store struct {
 	// quarantined counts entries set aside since open (observability).
 	quarantined atomic.Uint64
 }
+
+// recordVersion is the container version of the store's result, failure
+// and poison records. It is the farm's own: the records hold JSON, not
+// simulator state, so a snapshot.Version bump invalidates only in-flight
+// checkpoint blobs and leaves completed results readable. It starts at 2,
+// the snapshot version the records were sealed with before they had
+// their own, so existing stores stay readable. Bump it when a record's
+// JSON shape changes incompatibly.
+const recordVersion uint32 = 2
 
 // resSchema is the minimal shape check applied to a decoded result: a
 // completed simulation always has an application label and ran at least
@@ -145,7 +155,7 @@ func (s *Store) PutResult(key uint64, res *caba.Result) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.resultPath(key), snapshot.Seal(key, payload))
+	return writeFileAtomic(s.resultPath(key), snapshot.SealVersion(recordVersion, key, payload))
 }
 
 // GetResult returns the stored result for key, or (nil, nil) when absent.
@@ -163,7 +173,7 @@ func (s *Store) GetResult(key uint64) (*caba.Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: read result: %w", err)
 	}
-	payload, err := snapshot.Open(raw, key)
+	payload, err := snapshot.OpenVersion(raw, recordVersion, key)
 	if err != nil {
 		s.quarantine(path)
 		return nil, nil
@@ -230,7 +240,7 @@ func (s *Store) PutFailure(key uint64, errMsg string, wedge bool, attempts int) 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.failPath(key), snapshot.Seal(key, payload))
+	return writeFileAtomic(s.failPath(key), snapshot.SealVersion(recordVersion, key, payload))
 }
 
 // GetFailure returns the recorded terminal failure for key, or ok=false
@@ -244,7 +254,7 @@ func (s *Store) GetFailure(key uint64) (errMsg string, wedge bool, attempts int,
 	if err != nil {
 		return "", false, 0, false
 	}
-	payload, err := snapshot.Open(raw, key)
+	payload, err := snapshot.OpenVersion(raw, recordVersion, key)
 	if err != nil {
 		s.quarantine(path)
 		return "", false, 0, false
@@ -285,7 +295,7 @@ func (s *Store) PutPoison(key uint64, errMsg string, victims []string, attempts 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return writeFileAtomic(s.poisonPath(key), snapshot.Seal(key, payload))
+	return writeFileAtomic(s.poisonPath(key), snapshot.SealVersion(recordVersion, key, payload))
 }
 
 // GetPoison returns the recorded quarantine for key, or ok=false when
@@ -299,7 +309,7 @@ func (s *Store) GetPoison(key uint64) (errMsg string, victims []string, attempts
 	if err != nil {
 		return "", nil, 0, false
 	}
-	payload, err := snapshot.Open(raw, key)
+	payload, err := snapshot.OpenVersion(raw, recordVersion, key)
 	if err != nil {
 		s.quarantine(path)
 		return "", nil, 0, false

@@ -236,6 +236,64 @@ func TestStoreFailureRecords(t *testing.T) {
 	}
 }
 
+// TestStoreRecordVersion: result, failure and poison records are sealed
+// and opened at the farm's own recordVersion, not snapshot.Version, so a
+// simulator snapshot format bump invalidates only checkpoint blobs. A
+// record at any other version reads as absent.
+func TestStoreRecordVersion(t *testing.T) {
+	s, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &caba.Result{App: "PVC", Design: "Base", Cycles: 42}
+	if err := s.PutResult(1, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutFailure(2, "wedged", true, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutPoison(3, "killed", []string{"w1"}, 2); err != nil {
+		t.Fatal(err)
+	}
+	records := []struct {
+		key     uint64
+		path    string
+		present func() bool
+	}{
+		{1, s.resultPath(1), func() bool { r, _ := s.GetResult(1); return r != nil }},
+		{2, s.failPath(2), func() bool { _, _, _, ok := s.GetFailure(2); return ok }},
+		{3, s.poisonPath(3), func() bool { _, _, _, ok := s.GetPoison(3); return ok }},
+	}
+	for _, r := range records {
+		raw, err := os.ReadFile(r.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := snapshot.OpenVersion(raw, recordVersion, r.key)
+		if err != nil {
+			t.Fatalf("record %d not sealed at recordVersion %d: %v", r.key, recordVersion, err)
+		}
+		// Re-sealed at another version, the record must not be served.
+		if err := os.WriteFile(r.path, snapshot.SealVersion(recordVersion+1, r.key, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if r.present() {
+			t.Errorf("record %d served at container version %d", r.key, recordVersion+1)
+		}
+		// Restored at recordVersion, it is served again.
+		if err := os.WriteFile(r.path, snapshot.SealVersion(recordVersion, r.key, payload), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if !r.present() {
+			t.Errorf("record %d not served at recordVersion", r.key)
+		}
+	}
+	// Checkpoint blobs follow the simulator snapshot version instead.
+	if err := s.PutBlob(4, snapshot.SealVersion(snapshot.Version+1, 4, []byte("ckpt"))); err == nil {
+		t.Error("PutBlob accepted a checkpoint at a foreign snapshot version")
+	}
+}
+
 // TestStoreBlobVerification: checkpoint blobs are verified as sealed
 // containers on write and on read.
 func TestStoreBlobVerification(t *testing.T) {

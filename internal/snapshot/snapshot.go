@@ -237,9 +237,16 @@ const headerSize = 8 + 4 + 8 + 8
 
 // Seal wraps a payload into a self-describing blob bound to configHash.
 func Seal(configHash uint64, payload []byte) []byte {
+	return SealVersion(Version, configHash, payload)
+}
+
+// SealVersion is Seal with an explicit format version, for containers
+// whose payload is versioned independently of the simulator snapshot
+// (the farm's result records).
+func SealVersion(version uint32, configHash uint64, payload []byte) []byte {
 	out := make([]byte, 0, headerSize+len(payload)+4)
 	out = binary.LittleEndian.AppendUint64(out, magic)
-	out = binary.LittleEndian.AppendUint32(out, Version)
+	out = binary.LittleEndian.AppendUint32(out, version)
 	out = binary.LittleEndian.AppendUint64(out, configHash)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
@@ -251,7 +258,12 @@ func Seal(configHash uint64, payload []byte) []byte {
 // length, checksum) and returns its payload. All failures are
 // *FormatError.
 func Open(blob []byte, configHash uint64) ([]byte, error) {
-	h, payload, err := Inspect(blob)
+	return OpenVersion(blob, Version, configHash)
+}
+
+// OpenVersion is Open for a container sealed by SealVersion at version.
+func OpenVersion(blob []byte, version uint32, configHash uint64) ([]byte, error) {
+	h, payload, err := inspect(blob, version)
 	if err != nil {
 		return nil, err
 	}
@@ -269,14 +281,18 @@ func Open(blob []byte, configHash uint64) ([]byte, error) {
 // bit-flipped uploads yet cannot know the hash the eventual restorer will
 // check. All failures are *FormatError.
 func Inspect(blob []byte) (configHash uint64, payload []byte, err error) {
+	return inspect(blob, Version)
+}
+
+func inspect(blob []byte, version uint32) (configHash uint64, payload []byte, err error) {
 	if len(blob) < headerSize+4 {
 		return 0, nil, errf("blob too short: %d bytes", len(blob))
 	}
 	if m := binary.LittleEndian.Uint64(blob); m != magic {
 		return 0, nil, errf("bad magic %#x", m)
 	}
-	if v := binary.LittleEndian.Uint32(blob[8:]); v != Version {
-		return 0, nil, errf("version %d not supported (want %d)", v, Version)
+	if v := binary.LittleEndian.Uint32(blob[8:]); v != version {
+		return 0, nil, errf("version %d not supported (want %d)", v, version)
 	}
 	configHash = binary.LittleEndian.Uint64(blob[12:])
 	n := binary.LittleEndian.Uint64(blob[20:])
