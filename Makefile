@@ -29,8 +29,12 @@ SOAK_SEED ?= 1
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any Go file outside hidden
+# directories (.bench_build holds the benchmark's build cache).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(find . -name '*.go' -not -path './.*' | xargs gofmt -l); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 
 # lint enforces godoc coverage on the observability and reliability
 # packages — plus the ISA predecode and timing packages the execution
