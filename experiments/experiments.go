@@ -237,6 +237,13 @@ dispatch:
 				if done[key] {
 					continue
 				}
+				// select picks at random among ready cases, so a worker
+				// already waiting for its next cell would race a
+				// cancellation that has already happened.
+				if ctx.Err() != nil {
+					cancelled = true
+					break dispatch
+				}
 				select {
 				case jobs <- job{key, d}:
 				case <-ctx.Done():
