@@ -331,6 +331,69 @@ func TestSnapshotLoadNeverPanics(t *testing.T) {
 	try("version-skew", skew)
 }
 
+// newCABASnapSim builds the small CABA-BDI stream-sum run the snapshot
+// decoder tests checkpoint; fill loads and precompresses its input.
+func newCABASnapSim(fill bool) (*Simulator, error) {
+	const threads, iters = 512, 4
+	cfg := config.TestConfig()
+	cfg.BWScale = 0.25
+	k := &Kernel{Prog: streamSum4Kernel(), GridCTAs: 2, CTAThreads: 256,
+		Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
+	sim, err := New(&cfg, config.DesignCABABDI, k)
+	if err != nil {
+		return nil, err
+	}
+	if fill {
+		fillInput(sim, threads*iters, true)
+		sim.Dom.Precompress(inBase, uint64(threads*iters*4))
+	}
+	return sim, nil
+}
+
+// TestSnapshotRejectsAssistHostOutOfRange: an AWT entry whose host warp
+// is not one of the SM's warp slots is a format error. Unchecked, a huge
+// index made the controller grow its per-warp table to that size.
+func TestSnapshotRejectsAssistHostOutOfRange(t *testing.T) {
+	sim, err := newCABASnapSim(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob []byte
+	sim.Cfg.CheckpointEvery = 50
+	sim.OnCheckpoint = func(uint64, []byte) error {
+		if blob != nil {
+			return nil
+		}
+		for _, sm := range sim.sms {
+			if es := sm.awc.Entries(); len(es) > 0 {
+				e := es[0]
+				saved := e.Warp
+				e.Warp = 1 << 40
+				b, err := sim.SaveState()
+				e.Warp = saved
+				blob = b
+				return err
+			}
+		}
+		return nil
+	}
+	if err := sim.Run(20_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if blob == nil {
+		t.Fatal("no checkpoint found an assist warp in flight")
+	}
+	fresh, err := newCABASnapSim(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fresh.LoadState(blob)
+	var fe *snapshot.FormatError
+	if !errors.As(err, &fe) || !strings.Contains(err.Error(), "host warp") {
+		t.Fatalf("LoadState = %v, want a host-warp format error", err)
+	}
+}
+
 // FuzzSnapshotLoad fuzzes the full restore path with the payload of a
 // real checkpoint as the seed corpus. Each input is re-sealed with the
 // run's configuration hash, so mutations get past the container's CRC
@@ -338,22 +401,7 @@ func TestSnapshotLoadNeverPanics(t *testing.T) {
 // an error) without its panic backstop firing — every malformed field
 // must be caught by an explicit check.
 func FuzzSnapshotLoad(f *testing.F) {
-	const threads, iters = 512, 4
-	build := func(fill bool) (*Simulator, error) {
-		cfg := config.TestConfig()
-		cfg.BWScale = 0.25
-		k := &Kernel{Prog: streamSum4Kernel(), GridCTAs: 2, CTAThreads: 256,
-			Params: [4]uint64{inBase, outBase, uint64(threads * 4), iters}}
-		sim, err := New(&cfg, config.DesignCABABDI, k)
-		if err != nil {
-			return nil, err
-		}
-		if fill {
-			fillInput(sim, threads*iters, true)
-			sim.Dom.Precompress(inBase, uint64(threads*iters*4))
-		}
-		return sim, nil
-	}
+	build := newCABASnapSim
 	sim, err := build(true)
 	if err != nil {
 		f.Fatal(err)
