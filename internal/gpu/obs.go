@@ -171,9 +171,9 @@ func assistTraceCat(rt *core.Routine) string {
 // --- Metrics sampler ---
 
 // obsTotals is a cumulative snapshot of the counters the sampler
-// windows over. Totals fold sim.S (which holds memory-side counters and
-// fast-forward bulk credits) with every per-SM shard, so they are exact
-// in all engine modes.
+// windows over. Totals fold sim.S (which holds the memory-side counters)
+// with every per-SM shard (which holds the issue-slot counters, fast-forward
+// bulk credits included), so they are exact in all engine modes.
 type obsTotals struct {
 	instrs   uint64
 	issue    [stats.NumStallKinds]uint64

@@ -163,9 +163,10 @@ type SM struct {
 	// lastIssueCycle then warp slot). It is maintained incrementally:
 	// issued warps recorded in issuedBuf are re-placed at the back on the
 	// next tick, and orderDirty forces a full rebuild after warp validity
-	// changes (CTA placement/retirement). Entries are warp slot indices rather than pointers so the per-issue
-	// move-to-back shift is a barrier-free memmove and the position scan
-	// stays within a few cache lines.
+	// changes (CTA placement/retirement). Entries are warp slot indices
+	// rather than pointers so the per-issue move-to-back shift is a
+	// barrier-free memmove and the position scan stays within a few cache
+	// lines.
 	order       []int32
 	orderDirty  bool
 	issuedBuf   []*warpCtx
@@ -662,8 +663,9 @@ func (sm *SM) tickCompute(cycle uint64) {
 	// accounting no-op, and creditQuiet's NoteIdleSlots matches
 	// NumSchedulers failed NoteIssueSlot calls exactly.
 	// Only a tick that follows an idle one proves a fresh verdict; one
-	// whose horizon ran out waits for a full tick.
-	if sm.sim.Cfg.FastForward && sm.quiet(cycle, sm.qTry && !sm.qValid) {
+	// whose horizon ran out waits for a full tick. The busy-tick common
+	// case (no verdict, no attempt) skips the call.
+	if sm.sim.Cfg.FastForward && (sm.qValid || sm.qTry) && sm.quiet(cycle, !sm.qValid) {
 		sm.creditQuiet(1, cycle)
 		return
 	}

@@ -354,8 +354,8 @@ func (sm *SM) finishMemoProbe(mc *memoCtx) {
 }
 
 // tryMemoIssue issues an SFU instruction through the memoization probe
-// path. Only called when the SFU port is saturated (portsAvailable
-// failed on the initiation interval): a result-cache hit lets the
+// path. Only called when the SFU port is saturated (checkHazard
+// reported the initiation interval busy): a result-cache hit lets the
 // instruction complete via a high-priority probe assist instead of
 // waiting for the port, so memoization adds SFU throughput exactly
 // where the pipe is the bottleneck. Returns true when the instruction
