@@ -362,26 +362,28 @@ func (sm *SM) orderMoveToBack(w *warpCtx) {
 
 // quiescent reports whether tick(cycle) would be a pure stall-accounting
 // no-op for this SM — nothing can issue, retire, drain or deploy — and if
-// so, which stall kind each of its issue slots would record. It asks each
-// tick stage the question that stage's own code asks (checkHazard,
-// ctaCtx.retirable, drainDue, replayReady), so a new hazard needs no
-// second copy here. horizon is the earliest future cycle at which this
-// SM's own state can make a tick act again (pipeline writeback, LSU/SFU
-// port release, store-buffer aging); ^uint64(0) when the SM is waiting
-// purely on memory-system events. The fast-forward engine may then skip
-// ticks up to min(horizon, next event) while crediting `kind` in bulk,
-// with results bit-identical to per-cycle ticking.
-func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok bool) {
-	horizon = ^uint64(0)
+// so records the verdict: qKind, the stall kind each of its issue slots
+// would record; qHorizon; and, with attribution on, the blame pair. It
+// asks each tick stage the question that stage's own code asks
+// (checkHazard, ctaCtx.retirable, drainDue, replayReady), so a new hazard
+// needs no second copy here. qHorizon is the earliest future cycle at
+// which this SM's own state can make a tick act again (pipeline
+// writeback, LSU/SFU port release, store-buffer aging); ^uint64(0) when
+// the SM is waiting purely on memory-system events. The fast-forward
+// engine may then skip ticks up to min(qHorizon, next event) while
+// crediting qKind in bulk, with results bit-identical to per-cycle
+// ticking.
+func (sm *SM) quiescent(cycle uint64) bool {
+	horizon := ^uint64(0)
 
 	// Assist-warp machinery in flight advances state every tick (retries,
 	// AWC deployment, round-robin rotation).
 	if len(sm.decompRetry) > 0 || !sm.awc.Idle() {
-		return 0, 0, false
+		return false
 	}
 	// A writeback due this very tick acts; later ones bound the window.
 	if len(sm.wbRing[cycle&sm.wbMask]) > 0 {
-		return 0, 0, false
+		return false
 	}
 	if wb, any := sm.wbNext(cycle); any {
 		horizon = wb
@@ -391,7 +393,7 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 	// (covered by the event-queue bound).
 	if len(sm.replayQ) > 0 {
 		if sm.replayReady(cycle) {
-			return 0, 0, false
+			return false
 		}
 		if cycle < sm.lsuFree {
 			horizon = min(horizon, sm.lsuFree)
@@ -400,13 +402,13 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 	// A retirable CTA means the tick would retire it and dispatch work.
 	for _, cta := range sm.ctas {
 		if cta.retirable() {
-			return 0, 0, false
+			return false
 		}
 	}
 	// Store buffer: a due drain acts now; future aging bounds the window.
 	for _, se := range sm.storeBuf {
 		if sm.drainDue(se, cycle) {
-			return 0, 0, false
+			return false
 		}
 		if se.state == sbPending {
 			horizon = min(horizon, se.lastTouch+storeDrainAge)
@@ -421,7 +423,16 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 		if !w.valid {
 			continue
 		}
-		in := w.exec.CurrentSop()
+		// The tick's cached verdicts (warpCtx.depStalled, warpCtx.idle)
+		// hold here too and spare most candidates the full check.
+		if w.depStalled {
+			f.note(w.id, stats.DataDepStall, sm.depCause(w))
+			continue
+		}
+		var in *isa.Superop
+		if !w.idle {
+			in = w.exec.CurrentSop()
+		}
 		if in == nil {
 			// Done or at barrier: contributes to idle.
 			if f.blame {
@@ -433,28 +444,24 @@ func (sm *SM) quiescent(cycle uint64) (kind stats.StallKind, horizon uint64, ok 
 		// With memoization on, a busy SFU port is not a stall: the live
 		// tick may issue this warp through the probe path.
 		if h.kind == stats.Active || (h.cause == obs.CauseSFUBusy && sm.memo != nil) {
-			return 0, 0, false
+			return false
 		}
 		f.note(w.id, h.kind, h.cause)
 		horizon = min(horizon, h.until)
 	}
-	kind = classify(&f)
+	sm.qKind, sm.qHorizon = classify(&f), horizon
 	if f.blame {
-		sm.qBlameW, sm.qBlameC = blameFor(kind, &f)
+		sm.qBlameW, sm.qBlameC = blameFor(sm.qKind, &f)
 	}
-	return kind, horizon, true
+	return true
 }
 
 // quiet reports whether a proven quiescence verdict covers cycle. A
 // verdict whose horizon has passed is dropped; a missing one is proven
 // afresh with quiescent when prove is set.
 func (sm *SM) quiet(cycle uint64, prove bool) bool {
-	if sm.qValid && cycle < sm.qHorizon {
-		return true
-	}
-	sm.qValid = false
-	if prove {
-		sm.qKind, sm.qHorizon, sm.qValid = sm.quiescent(cycle)
+	if !sm.qValid || cycle >= sm.qHorizon {
+		sm.qValid = prove && sm.quiescent(cycle)
 	}
 	return sm.qValid
 }
