@@ -182,9 +182,10 @@ func (sm *SM) issueSlot() stats.StallKind {
 	return kind
 }
 
-// tryWarp attempts to issue for one warp: its high-priority assist warp
-// first (which takes precedence over the parent, Section 3.2.3), then its
-// own next instruction.
+// tryWarp attempts to issue warp w's next instruction and, when it
+// cannot, notes the hazard that blocked it in f. (High-priority assist
+// warps, which take precedence over their parents, were already tried by
+// issueSlot.)
 func (sm *SM) tryWarp(w *warpCtx, f *slotFlags) bool {
 	if !w.valid {
 		return false
