@@ -97,9 +97,9 @@ func TestZeroFaultGolden(t *testing.T) {
 // only, and a changed quiescence verdict that stays sound leaves Stats
 // untouched; these counters are what moves.
 var ffPins = []struct {
-	App            string
-	Design         caba.Design
-	Skips, Skipped uint64
+	App           string
+	Design        caba.Design
+	Skips, Cycles uint64
 }{
 	{"PVC", caba.Base, 0, 0},
 	{"PVC", caba.CABABDI, 0, 0},
@@ -123,9 +123,9 @@ func TestFastForwardCounterPins(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s/%s: %v", p.App, p.Design.Name, err)
 		}
-		if res.FFSkips != p.Skips || res.FFCycles != p.Skipped {
+		if res.FFSkips != p.Skips || res.FFCycles != p.Cycles {
 			t.Errorf("%s/%s: fast-forward FFSkips/FFCycles = %d/%d, pinned %d/%d",
-				p.App, p.Design.Name, res.FFSkips, res.FFCycles, p.Skips, p.Skipped)
+				p.App, p.Design.Name, res.FFSkips, res.FFCycles, p.Skips, p.Cycles)
 		}
 	}
 }

@@ -401,8 +401,7 @@ func TestSnapshotRejectsAssistHostOutOfRange(t *testing.T) {
 // an error) without its panic backstop firing — every malformed field
 // must be caught by an explicit check.
 func FuzzSnapshotLoad(f *testing.F) {
-	build := newCABASnapSim
-	sim, err := build(true)
+	sim, err := newCABASnapSim(true)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -428,7 +427,7 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(payload[:len(payload)/2])
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fresh, err := build(false)
+		fresh, err := newCABASnapSim(false)
 		if err != nil {
 			t.Fatal(err)
 		}
